@@ -38,7 +38,6 @@ _CONFIG_FLAGS = [
     ("y_weights", str, "recognition weights, e.g. 1,1,1"),
     ("window", float, "evaluation window in minutes"),
     ("waits", str, "path to a JSON wait table"),
-    ("threads", int, "worker cap for per-region mining"),
     ("max_len", int, "maximum pattern length in endpoints"),
     ("epsilon", float, "minimum Manhattan distance"),
     ("involvement", float, "involvement cutoff for predicted event sets"),

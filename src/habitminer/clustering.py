@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -129,11 +130,13 @@ class ProbabilisticCompositionPattern:
     def event_types(self) -> frozenset:
         return frozenset(t for t, _ in self.entries)
 
+    @cached_property
+    def _probabilities(self) -> dict:
+        # reversed, so the first entry of a repeated type wins
+        return dict(reversed(self.entries))
+
     def probability(self, event_type: str) -> float:
-        for t, p in self.entries:
-            if t == event_type:
-                return p
-        return 0.0
+        return self._probabilities.get(event_type, 0.0)
 
 
 def to_probabilistic(cl: PatternCluster) -> ProbabilisticCompositionPattern:

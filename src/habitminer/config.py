@@ -24,7 +24,6 @@ class PipelineConfig:
     y_weights: Tuple[float, float, float] = (1.0, 1.0, 1.0)
     window: float = 60.0
     waits: Optional[str] = None
-    threads: int = 1
     max_len: int = 20
     epsilon: float = 1.0
     involvement: float = 0.5
@@ -44,8 +43,6 @@ class PipelineConfig:
             raise ConfigError("involvement must lie in [0, 1]")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.window <= 0:
             raise ConfigError("window must be positive")
         if self.max_len < 2:
@@ -102,7 +99,7 @@ def _parse_minsup(raw) -> Tuple[str, float]:
     return "absolute", float(value)
 
 
-_INT_KEYS = {"k", "seed", "threads", "max_len"}
+_INT_KEYS = {"k", "seed", "max_len"}
 _FLOAT_KEYS = {"minsig", "minpro", "w1", "w2", "zeta", "min_p", "window",
                "epsilon", "involvement"}
 _STR_KEYS = {"segment", "waits"}

@@ -145,10 +145,6 @@ class EventDatabase:
     def regions(self) -> Tuple[str, ...]:
         return tuple(sorted({ev.region for s in self.sequences for ev in s.events}))
 
-    @cached_property
-    def region_index(self) -> dict:
-        return partition_by_region(self)
-
 
 def canonical_endpoints(seq: EventSequence) -> Tuple[Endpoint, ...]:
     """The sorted endpoint list of a sequence (2n entries for n events)."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 from pathlib import Path
 
@@ -131,30 +130,22 @@ def _load_database(outdir) -> EventDatabase:
     return EventDatabase(tuple(sequences))
 
 
-def _mine_region(args):
-    region, sub, config = args
-    minsup = config.resolve_minsup(len(sub))
-    return region, minsup, mine(sub, minsup, max_len=config.max_len, region=region)
-
-
 def stage_mine(config: PipelineConfig, outdir) -> dict:
     db = _load_database(outdir)
     by_region = partition_by_region(db)
-    jobs = [(region, by_region[region], config) for region in sorted(by_region)]
-    if config.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            mined = list(pool.map(_mine_region, jobs))
-    else:
-        mined = [_mine_region(job) for job in jobs]
-
-    table = EventProbabilityTable.from_database(db) if jobs else None
+    table = EventProbabilityTable.from_database(db) if by_region else None
     counts = {"mined": 0, "significant": 0, "proximate": 0, "kept": 0}
     kept = []
     minsup_resolved = {}
-    for region, minsup, patterns in mined:
+    for region in sorted(by_region):
+        sub = by_region[region]
+        minsup = config.resolve_minsup(len(sub))
         minsup_resolved[region] = minsup
-        for pattern in patterns:
-            score = score_pattern(pattern, table, config.w1, config.w2, config.epsilon)
+        for pattern in mine(sub, minsup, max_len=config.max_len, region=region):
+            score = score_pattern(
+                pattern, table, config.w1, config.w2, config.epsilon,
+                config.minsig, config.minpro,
+            )
             counts["mined"] += 1
             sig_ok = score.significance >= config.minsig
             pro_ok = score.combined >= config.minpro
@@ -332,16 +323,26 @@ def stage_relations(config: PipelineConfig, outdir) -> dict:
     return {"stage": "relations", "patterns": n, "cells": len(cells), "density": doc["density"]}
 
 
-def stage_model(config: PipelineConfig, outdir) -> dict:
+def _model_doc(outdir) -> dict:
+    """The model document, less its config echo, from upstream artifacts.
+
+    The vocabulary is the sorted service set of events.json: the same list
+    patterns.json records, from a file a quarter its size.
+    """
     periodic_doc = _load_artifact(outdir, "periodic")
     matrix_doc = _load_artifact(outdir, "relations")
-    mine_doc = _load_artifact(outdir, "mine")
-    doc = {
-        "config": config.as_dict(),
-        "vocabulary": mine_doc["vocabulary"],
+    events_doc = _load_artifact(outdir, "ingest")
+    return {
+        "vocabulary": sorted(
+            {e["service"] for rec in events_doc["sequences"] for e in rec["events"]}
+        ),
         "patterns": periodic_doc["patterns"],
         "matrix": {"patterns": matrix_doc["patterns"], "cells": matrix_doc["cells"]},
     }
+
+
+def stage_model(config: PipelineConfig, outdir) -> dict:
+    doc = {"config": config.as_dict(), **_model_doc(outdir)}
     _write_json(Path(outdir) / ARTIFACTS["model"], doc)
     return {"stage": "model", "patterns": len(doc["patterns"])}
 
@@ -382,17 +383,7 @@ def load_model(outdir, y_weights=(1.0, 1.0, 1.0)) -> PredictionModel:
     if path.exists():
         with open(path) as fh:
             return model_from_doc(json.load(fh), y_weights)
-    periodic_doc = _load_artifact(outdir, "periodic")
-    matrix_doc = _load_artifact(outdir, "relations")
-    mine_doc = _load_artifact(outdir, "mine")
-    return model_from_doc(
-        {
-            "vocabulary": mine_doc["vocabulary"],
-            "patterns": periodic_doc["patterns"],
-            "matrix": {"patterns": matrix_doc["patterns"], "cells": matrix_doc["cells"]},
-        },
-        y_weights,
-    )
+    return model_from_doc(_model_doc(outdir), y_weights)
 
 
 _STAGES = ("ingest", "mine", "cluster", "periodic", "relations", "model")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .clustering import ProbabilisticCompositionPattern
@@ -47,11 +48,16 @@ class PredictionModel:
         if len(self.matrix.pattern_ids) != len(self.patterns):
             raise DataError("matrix dimension does not match pattern count")
 
+    @cached_property
+    def _patterns_by_id(self) -> dict:
+        # reversed, so the first pattern of a repeated id wins
+        return {p.pattern_id: p for p in reversed(self.patterns)}
+
     def pattern_by_id(self, pattern_id: str) -> PeriodicPattern:
-        for p in self.patterns:
-            if p.pattern_id == pattern_id:
-                return p
-        raise DataError(f"unknown pattern id {pattern_id!r}")
+        try:
+            return self._patterns_by_id[pattern_id]
+        except KeyError:
+            raise DataError(f"unknown pattern id {pattern_id!r}") from None
 
 
 @dataclass(frozen=True)

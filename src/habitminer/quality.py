@@ -122,14 +122,30 @@ def temporal_coverage(intervals: Sequence[Tuple[float, float]]) -> float:
 
 
 def temporal_proximity(pattern: CompositionPattern) -> float:
-    """Average per-instance temporal coverage."""
+    """Average per-instance temporal coverage.
+
+    Each instance is read in one pass over its events and gives the same
+    value as `temporal_coverage` over its (start, end) pairs. This is the
+    proximity term every pattern gets; the spatial term is computed only
+    as `score_pattern` describes."""
     if not pattern.instances:
         return 0.0
     total = 0.0
     for inst in pattern.instances:
-        total += temporal_coverage(
-            [(ev.start_time, ev.end_time) for ev in inst.events]
-        )
+        events = inst.events
+        if not events:
+            continue  # coverage of no intervals is 0.0
+        lo, hi = events[0].start_time, events[0].end_time
+        mass = 0
+        for ev in events:
+            start, end = ev.start_time, ev.end_time
+            mass += end - start
+            if start < lo:
+                lo = start
+            if end > hi:
+                hi = end
+        span = hi - lo
+        total += 1.0 if span == 0 else mass / (span * len(events))
     return total / len(pattern.instances)
 
 
@@ -155,17 +171,35 @@ def score_pattern(
     w1: float,
     w2: float,
     epsilon: float = DEFAULT_EPSILON,
+    minsig: float = -math.inf,
+    minpro: float = -math.inf,
 ) -> QualityScore:
+    """Significance, both proximities and their weighted combination.
+
+    At w1 != 0 the spatial term is always computed, and a pattern without
+    coordinates raises DataError when w1 > 0 (it scores None otherwise).
+    At w1 == 0 the combination is w2 * temporal exactly, so the spatial
+    term decides nothing: it is computed (None without coordinates) only
+    for a pattern meeting both minsig and minpro, and is None for the
+    rest. The default thresholds compute it for every pattern.
+    """
     sig = significance(pattern, table)
     temp = temporal_proximity(pattern)
-    spa: Optional[float]
-    try:
-        spa = spatial_proximity(pattern, epsilon)
-    except DataError:
-        if w1 > 0:
-            raise
-        spa = None
-    combined = w1 * (spa or 0.0) + w2 * temp
+    spa: Optional[float] = None
+    if w1 == 0:
+        combined = w2 * temp
+        if sig >= minsig and combined >= minpro:
+            try:
+                spa = spatial_proximity(pattern, epsilon)
+            except DataError:
+                pass
+    else:
+        try:
+            spa = spatial_proximity(pattern, epsilon)
+        except DataError:
+            if w1 > 0:
+                raise
+        combined = w1 * (spa or 0.0) + w2 * temp
     return QualityScore(sig, spa, temp, combined, w1, w2)
 
 
@@ -185,7 +219,7 @@ def filter_quality(
         raise ConfigError("proximity weights must be nonnegative")
     survivors = []
     for pattern in patterns:
-        score = score_pattern(pattern, table, w1, w2, epsilon)
+        score = score_pattern(pattern, table, w1, w2, epsilon, minsig, minpro)
         if score.significance >= minsig and score.combined >= minpro:
             survivors.append(ScoredPattern(pattern, score))
     return survivors

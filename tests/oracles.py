@@ -55,6 +55,21 @@ def enumerate_patterns(encoded_db, minsup) -> dict:
     return {p: s for p, s in tally.items() if s >= minsup}
 
 
+def leftmost_match_scan(haystack, needle):
+    """Leftmost order-preserving embedding by a plain position-by-position
+    scan: the positions, or None when needle does not embed."""
+    positions = []
+    i = 0
+    for sym in needle:
+        while i < len(haystack) and haystack[i] != sym:
+            i += 1
+        if i == len(haystack):
+            return None
+        positions.append(i)
+        i += 1
+    return positions
+
+
 def random_database(rng: random.Random, max_sequences=8, max_events=12, max_services=5):
     services = [chr(ord("a") + i) for i in range(rng.randint(2, max_services))]
     seqs = []

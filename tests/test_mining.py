@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_patterns, random_database, wellformed_subsequences
+from oracles import (
+    enumerate_patterns,
+    leftmost_match_scan,
+    random_database,
+    wellformed_subsequences,
+)
 
 from habitminer.errors import ConfigError
 from habitminer.events import EndpointSymbol, EventSequence, parse_interval
@@ -12,6 +19,7 @@ from habitminer.mining import (
     ProjectedDatabase,
     contains,
     encode_database,
+    leftmost_match,
     mine,
     project,
     support,
@@ -99,6 +107,23 @@ def test_mine_instances_are_leftmost(running_example):
     # day 1 instance: E covers 60..75, F covers 61..73 (minutes)
     spans = sorted((ev.start_time // 60 % 1440, ev.end_time // 60 % 1440) for ev in inst.events)
     assert spans == [(60, 75), (61, 73)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    haystack=st.lists(st.integers(0, 3), max_size=14),
+    needle=st.lists(st.integers(0, 5), max_size=6),  # 4 and 5 never occur
+    as_tuples=st.booleans(),
+)
+@example(haystack=[], needle=[], as_tuples=False)
+@example(haystack=[3, 1], needle=[], as_tuples=True)
+@example(haystack=[1, 1, 2, 1], needle=[1, 1, 1], as_tuples=False)
+@example(haystack=[1, 1, 2], needle=[1, 1, 1], as_tuples=True)
+@example(haystack=[2, 1], needle=[1, 2], as_tuples=False)
+def test_leftmost_match_agrees_with_scan(haystack, needle, as_tuples):
+    if as_tuples:
+        haystack, needle = tuple(haystack), tuple(needle)
+    assert leftmost_match(haystack, needle) == leftmost_match_scan(haystack, needle)
 
 
 def test_mine_deterministic(running_example):

@@ -4,12 +4,21 @@ import json
 
 import pytest
 
-from conftest import build_running_example, planted_chain
+from conftest import build_running_example, planted_chain, planted_household
 
 from habitminer.cli import main
 from habitminer.config import PipelineConfig, build_config, read_config_file
 from habitminer.errors import ConfigError
-from habitminer.pipeline import load_model, run_pipeline, stage_ingest, stage_mine
+from habitminer.events import partition_by_region
+from habitminer.mining import mine
+from habitminer.pipeline import (
+    _load_database,
+    load_model,
+    run_pipeline,
+    stage_ingest,
+    stage_mine,
+)
+from habitminer.quality import EventProbabilityTable, score_pattern
 from habitminer.synth import format_trace, generate
 
 
@@ -89,6 +98,10 @@ def test_run_pipeline_running_example(fixture_trace, tmp_path):
     model = load_model(outdir)
     assert len(model.patterns) == 2
     assert patterns_doc["config"]["minsup"] == 2
+    model_doc = json.loads((outdir / "model.json").read_text())
+    assert model_doc["vocabulary"] == patterns_doc["vocabulary"] == sorted("ABCDEFGKM")
+    (outdir / "model.json").unlink()  # load_model falls back to the upstream artifacts
+    assert load_model(outdir).vocabulary == model.vocabulary
 
 
 def test_pipeline_empty_input(tmp_path):
@@ -122,17 +135,51 @@ def test_stage_requires_upstream(tmp_path):
     assert "ingest" in str(err.value)
 
 
-def test_mine_threads_deterministic(tmp_path):
-    db, _ = generate(planted_chain(), 8, seed=2)
+def test_stage_mine_matches_recount(tmp_path):
+    db, _ = generate(planted_household(), 20, seed=3)
     trace = tmp_path / "t.csv"
     trace.write_text(format_trace(db))
-    out1, out2 = tmp_path / "one", tmp_path / "two"
-    run_pipeline(fixture_config(k=2), trace, out1)
-    run_pipeline(fixture_config(k=2, threads=4), trace, out2)
-    one = json.loads((out1 / "patterns.json").read_text())
-    two = json.loads((out2 / "patterns.json").read_text())
-    del one["config"], two["config"]  # the echo records the thread count
-    assert one == two
+    outdir = tmp_path / "artifacts"
+    # minsig above minpro, so a swap of the two would show in the scores
+    config = build_config(None, {"minsig": 1.0, "minpro": 0.5})
+    stage_ingest(config, trace, outdir)
+    report = stage_mine(config, outdir)
+    doc = json.loads((outdir / "patterns.json").read_text())
+
+    db = _load_database(outdir)
+    table = EventProbabilityTable.from_database(db)
+    counts = {"mined": 0, "significant": 0, "proximate": 0, "kept": 0}
+    kept = {}
+    for region, sub in partition_by_region(db).items():
+        minsup = config.resolve_minsup(len(sub))
+        for pattern in mine(sub, minsup, max_len=config.max_len, region=region):
+            score = score_pattern(pattern, table, config.w1, config.w2, config.epsilon)
+            sig_ok = score.significance >= config.minsig
+            pro_ok = score.combined >= config.minpro
+            counts["mined"] += 1
+            counts["significant"] += sig_ok
+            counts["proximate"] += pro_ok
+            counts["kept"] += sig_ok and pro_ok
+            if sig_ok and pro_ok:
+                kept[(region, pattern.tokens)] = {
+                    "significance": score.significance,
+                    "spatial_proximity": score.spatial_proximity,
+                    "temporal_proximity": score.temporal_proximity,
+                    "combined": score.combined,
+                }
+    assert report["counts"] == doc["counts"] == counts
+    assert 0 < counts["kept"] < min(counts["significant"], counts["proximate"])
+    assert max(counts["significant"], counts["proximate"]) < counts["mined"]
+    assert {(rec["region"], tuple(rec["seq"])): rec["score"] for rec in doc["patterns"]} == kept
+    assert all(score["spatial_proximity"] is not None for score in kept.values())
+
+
+def test_config_file_rejects_threads(tmp_path, capsys):
+    path = tmp_path / "habitminer.conf"
+    path.write_text("threads = 4\n")
+    assert run_cli("mine", "--config", str(path), "--outdir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "threads" in err
 
 
 # CLI ------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import riemann_temporal_coverage
 
@@ -64,6 +66,28 @@ def test_temporal_proximity_identical_intervals():
 
 def test_temporal_proximity_single_service():
     assert temporal_proximity(make_pattern([[("a", 100, 160)]])) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 120)), max_size=5),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_temporal_proximity_equals_mean_coverage(raw_instances):
+    instances = [
+        [(f"s{i}", start, start + length) for i, (start, length) in enumerate(events)]
+        for events in raw_instances
+    ]
+    built = make_pattern(instances, support=1).instances
+    pattern = CompositionPattern((), len(built), "r", built)
+    expected = sum(
+        temporal_coverage([(ev.start_time, ev.end_time) for ev in inst.events])
+        for inst in built
+    ) / len(built)
+    assert temporal_proximity(pattern) == expected
 
 
 def test_temporal_coverage_point_instance():
@@ -245,8 +269,16 @@ def test_score_pattern_spatial_skipped_when_unweighted():
     score = score_pattern(pattern, table, w1=0.0, w2=1.0)
     assert score.spatial_proximity is None
     assert score.combined == pytest.approx(score.temporal_proximity)
+    (kept,) = filter_quality([pattern], table, minsig=-1e9, minpro=0.0, w1=0.0, w2=1.0)
+    assert kept.score.spatial_proximity is None
     with pytest.raises(DataError):
         score_pattern(pattern, table, w1=0.5, w2=0.5)
+    # at w1 > 0 missing coordinates raise even for a pattern failing minsig
+    assert score.significance < 1e9
+    with pytest.raises(DataError):
+        score_pattern(pattern, table, w1=0.5, w2=0.5, minsig=1e9, minpro=1e9)
+    with pytest.raises(DataError):
+        filter_quality([pattern], table, minsig=1e9, minpro=1e9, w1=0.5, w2=0.5)
 
 
 def test_combined_is_weighted_sum():
@@ -256,3 +288,24 @@ def test_combined_is_weighted_sum():
     assert score.combined == pytest.approx(
         0.4 * score.spatial_proximity + 0.6 * score.temporal_proximity
     )
+
+
+def test_score_pattern_spatial_only_for_kept_at_zero_weight(running_example):
+    table = EventProbabilityTable.from_database(running_example)
+    patterns = mine(running_example, 2)
+    kept = filter_quality(patterns, table, minsig=0.01, minpro=0.3, w1=0.0, w2=1.0)
+    assert kept and len(kept) < len(patterns)
+    for sp in kept:
+        assert sp.score.spatial_proximity == spatial_proximity(sp.pattern)
+    kept_tokens = {sp.pattern.tokens for sp in kept}
+    for pattern in patterns:
+        full = score_pattern(pattern, table, 0.0, 1.0)
+        gated = score_pattern(pattern, table, 0.0, 1.0, minsig=0.01, minpro=0.3)
+        assert full.spatial_proximity == spatial_proximity(pattern)
+        assert (gated.significance, gated.temporal_proximity, gated.combined) == (
+            full.significance, full.temporal_proximity, full.combined
+        )
+        if pattern.tokens in kept_tokens:
+            assert gated.spatial_proximity == full.spatial_proximity
+        else:
+            assert gated.spatial_proximity is None
