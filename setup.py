@@ -1,12 +1,14 @@
 """Build script; compiles the optional mining kernel extension.
 
 The package works without the extension (a pure-Python kernel is selected
-at import time), so any build failure here downgrades to a warning.
+at import time), so any build failure here downgrades to a warning. With
+Cython the extension is generated from _growth_cy.pyx; without it, the
+tracked _growth_cy.c (generated from that file) is compiled as it is.
 """
 
 import warnings
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -28,7 +30,11 @@ def extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:
-        return []
+        return [
+            Extension(
+                "habitminer.mining._growth_cy", ["src/habitminer/mining/_growth_cy.c"]
+            )
+        ]
     return cythonize(
         ["src/habitminer/mining/_growth_cy.pyx"], language_level="3"
     )

@@ -6,6 +6,7 @@ time-of-day arithmetic downstream works in whole minutes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from functools import cached_property
@@ -144,11 +145,6 @@ class EventDatabase:
     @property
     def regions(self) -> Tuple[str, ...]:
         return tuple(sorted({ev.region for s in self.sequences for ev in s.events}))
-
-
-def canonical_endpoints(seq: EventSequence) -> Tuple[Endpoint, ...]:
-    """The sorted endpoint list of a sequence (2n entries for n events)."""
-    return seq.endpoints
 
 
 @dataclass
@@ -293,6 +289,8 @@ def parse_interval(
                 coord = (float(fields[4]), float(fields[5]))
             except ValueError:
                 raise ParseError(lineno, "bad coordinates") from None
+            if not all(map(math.isfinite, coord)):
+                raise ParseError(lineno, "non-finite coordinates")
         events.append(
             ServiceEvent(service, start, end, region, start_coord=coord, end_coord=coord)
         )

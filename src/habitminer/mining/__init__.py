@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, InternalError
-from ..events import EndpointSymbol, EventDatabase, EventSequence, ServiceEvent
+from ..events import EndpointSymbol, EventDatabase, ServiceEvent
 from ._kernel import KERNEL_NAME, mine_sequences
 from ._growth_py import mine_sequences as mine_sequences_py
 
@@ -63,20 +63,6 @@ class CompositionPattern:
         return "<" + " ".join(self.tokens) + f">:{self.support}"
 
 
-def _as_symbols(seq) -> Tuple[EndpointSymbol, ...]:
-    if isinstance(seq, EventSequence):
-        return tuple(e.symbol for e in seq.endpoints)
-    out = []
-    for item in seq:
-        if isinstance(item, EndpointSymbol):
-            out.append(item)
-        elif isinstance(item, str):
-            out.append(EndpointSymbol.parse(item))
-        else:  # an Endpoint
-            out.append(item.symbol)
-    return tuple(out)
-
-
 def leftmost_match(haystack: Sequence, needle: Sequence) -> Optional[list]:
     """Positions of the leftmost order-preserving embedding, or None.
 
@@ -92,63 +78,6 @@ def leftmost_match(haystack: Sequence, needle: Sequence) -> Optional[list]:
     except ValueError:
         return None
     return positions
-
-
-def contains(haystack, needle) -> bool:
-    """True iff needle embeds into haystack preserving order."""
-    return leftmost_match(_as_symbols(haystack), _as_symbols(needle)) is not None
-
-
-def support(db: EventDatabase, seq) -> int:
-    """Number of sequences of db containing seq (each counted once)."""
-    needle = _as_symbols(seq)
-    return sum(
-        1
-        for s in db.sequences
-        if leftmost_match(tuple(e.symbol for e in s.endpoints), needle) is not None
-    )
-
-
-@dataclass(frozen=True)
-class ProjectedDatabase:
-    """Pattern-growth search state: a prefix and the per-sequence suffixes."""
-
-    db: EventDatabase
-    prefix: Tuple[EndpointSymbol, ...]
-    entries: Tuple[Tuple[int, int], ...]  # (sequence index, suffix start)
-
-    @classmethod
-    def initial(cls, db: EventDatabase) -> "ProjectedDatabase":
-        return cls(db, (), tuple((i, 0) for i in range(len(db.sequences))))
-
-    @property
-    def open_starts(self) -> Tuple[str, ...]:
-        state: dict = {}
-        for sym in self.prefix:
-            state[sym.service_id] = not sym.is_end
-        return tuple(sorted(s for s, opened in state.items() if opened))
-
-    def suffixes(self) -> list:
-        out = []
-        for idx, pos in self.entries:
-            seq = self.db.sequences[idx]
-            out.append((seq.sid, seq.endpoints[pos:], self.open_starts))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def project(pdb: ProjectedDatabase, symbol: EndpointSymbol) -> ProjectedDatabase:
-    """Advance every suffix past its first match of symbol; drop the rest."""
-    new_entries = []
-    for idx, pos in pdb.entries:
-        endpoints = pdb.db.sequences[idx].endpoints
-        for j in range(pos, len(endpoints)):
-            if endpoints[j].symbol == symbol:
-                new_entries.append((idx, j + 1))
-                break
-    return ProjectedDatabase(pdb.db, pdb.prefix + (symbol,), tuple(new_entries))
 
 
 def encode_database(db: EventDatabase):
@@ -233,15 +162,11 @@ __all__ = [
     "KERNEL_NAME",
     "CompositionPattern",
     "PatternInstance",
-    "ProjectedDatabase",
-    "contains",
     "decode_pattern",
     "encode_database",
     "leftmost_match",
     "mine",
     "mine_sequences",
     "mine_sequences_py",
-    "project",
-    "support",
     "DEFAULT_MAX_PATTERN_LEN",
 ]

@@ -8,6 +8,7 @@ stage can be rerun (or replaced by an oracle) in isolation.
 from __future__ import annotations
 
 import json
+import math
 import os
 from datetime import datetime
 from pathlib import Path
@@ -29,7 +30,7 @@ from .events import (
     segment,
     to_timestamp,
 )
-from .mining import CompositionPattern, PatternInstance, mine
+from .mining import CompositionPattern, mine
 from .periodic import RepresentativeInterval, minutes_to_hhmm, representative_intervals
 from .predict import Observation, PeriodicPattern, PredictionModel, predict_next, recognize
 from .quality import EventProbabilityTable, score_pattern
@@ -46,20 +47,30 @@ ARTIFACTS = {
 
 
 def _write_json(path: Path, doc: dict):
+    # Compact, sorted, one line: a one-shot dumps without indent is the only
+    # call that takes the C encoder; dump and indent run the Python one.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def _read_json(path: Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_artifact(outdir, stage: str) -> dict:
     path = Path(outdir) / ARTIFACTS[stage]
     if not path.exists():
         raise ConfigError(f"{path} missing: run stage '{stage}' first")
-    with open(path) as fh:
-        return json.load(fh)
+    return _read_json(path)
 
 
 def _iso(ts: int) -> str:
@@ -156,6 +167,9 @@ def stage_mine(config: PipelineConfig, outdir) -> dict:
                 kept.append((pattern, score))
 
     kept.sort(key=lambda ps: (ps[0].region, len(ps[0].seq), ps[0].tokens))
+    # instances share their events' stamps: convert each distinct one once
+    stamps = {t for s in db.sequences for ev in s.events for t in (ev.start_time, ev.end_time)}
+    iso = {ts: _iso(ts) for ts in stamps}
     doc = {
         "config": config.as_dict(),
         "counts": counts,
@@ -179,8 +193,8 @@ def stage_mine(config: PipelineConfig, outdir) -> dict:
                         "events": [
                             {
                                 "service": ev.service_id,
-                                "start": _iso(ev.start_time),
-                                "end": _iso(ev.end_time),
+                                "start": iso[ev.start_time],
+                                "end": iso[ev.end_time],
                             }
                             for ev in inst.events
                         ],
@@ -196,26 +210,20 @@ def stage_mine(config: PipelineConfig, outdir) -> dict:
 
 
 def _patterns_from_artifact(doc) -> list:
-    """Rebuild (id, CompositionPattern) pairs from patterns.json."""
-    out = []
-    for rec in doc["patterns"]:
-        symbols = tuple(EndpointSymbol.parse(t) for t in rec["seq"])
-        instances = tuple(
-            PatternInstance(
-                inst["sid"],
-                tuple(
-                    ServiceEvent(
-                        e["service"], _unixtime(e["start"]), _unixtime(e["end"]), rec["region"]
-                    )
-                    for e in inst["events"]
-                ),
-            )
-            for inst in rec["instances"]
+    """(id, CompositionPattern) pairs from patterns.json, without instances:
+    clustering reads only each pattern's event types and support."""
+    return [
+        (
+            rec["id"],
+            CompositionPattern(
+                tuple(EndpointSymbol.parse(t) for t in rec["seq"]),
+                rec["support"],
+                rec["region"],
+                (),
+            ),
         )
-        out.append(
-            (rec["id"], CompositionPattern(symbols, rec["support"], rec["region"], instances))
-        )
-    return out
+        for rec in doc["patterns"]
+    ]
 
 
 def stage_cluster(config: PipelineConfig, outdir) -> dict:
@@ -249,14 +257,23 @@ def _cluster_instances(outdir):
     """Per cluster id, the (sid, start, end, region) of member instances."""
     clusters = _load_artifact(outdir, "cluster")["clusters"]
     patterns = {rec["id"]: rec for rec in _load_artifact(outdir, "mine")["patterns"]}
+    # instances share their events' stamps: convert each distinct one once
+    stamps = {
+        e[key]
+        for rec in patterns.values()
+        for inst in rec["instances"]
+        for e in inst["events"]
+        for key in ("start", "end")
+    }
+    seconds = {text: _unixtime(text) for text in stamps}
     out = []
     for cl in clusters:
         instances = []
         for pid in cl["members"]:
             rec = patterns[pid]
             for inst in rec["instances"]:
-                start = min(_unixtime(e["start"]) for e in inst["events"])
-                end = max(_unixtime(e["end"]) for e in inst["events"])
+                start = min(seconds[e["start"]] for e in inst["events"])
+                end = max(seconds[e["end"]] for e in inst["events"])
                 instances.append((inst["sid"], start, end, rec["region"]))
         out.append((cl, instances))
     return out
@@ -379,10 +396,8 @@ def model_from_doc(doc: dict, y_weights=(1.0, 1.0, 1.0)) -> PredictionModel:
 
 
 def load_model(outdir, y_weights=(1.0, 1.0, 1.0)) -> PredictionModel:
-    path = Path(outdir) / ARTIFACTS["model"]
-    if path.exists():
-        with open(path) as fh:
-            return model_from_doc(json.load(fh), y_weights)
+    if (Path(outdir) / ARTIFACTS["model"]).exists():
+        return model_from_doc(_load_artifact(outdir, "model"), y_weights)
     return model_from_doc(_model_doc(outdir), y_weights)
 
 
@@ -444,11 +459,23 @@ def predict_from_file(model: PredictionModel, observation_path) -> dict:
 
 
 def load_wait_table(path) -> WaitTable:
+    """A JSON object of service -> waiting minutes, each finite and >= 0."""
     if path is None:
         return WaitTable({})
-    with open(path) as fh:
-        doc = json.load(fh)
-    return WaitTable({str(k): float(v) for k, v in doc.items()})
+    try:
+        doc = _read_json(Path(path))
+    except DataError as exc:
+        raise ConfigError(f"wait table {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"wait table {path}: expected a JSON object of service -> minutes")
+    waits = {}
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"wait table {path}: wait for {key!r} is not a number")
+        if not math.isfinite(value) or value < 0:
+            raise ConfigError(f"wait table {path}: wait for {key!r} must be finite and >= 0")
+        waits[key] = float(value)
+    return WaitTable(waits)
 
 
 def evaluate_trace(

@@ -8,8 +8,10 @@ implementations under test.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Tuple
 
-from habitminer.events import EventDatabase, EventSequence, ServiceEvent
+from habitminer.events import EndpointSymbol, EventDatabase, EventSequence, ServiceEvent
 from habitminer.relations import classify_ordered
 
 
@@ -68,6 +70,88 @@ def leftmost_match_scan(haystack, needle):
         positions.append(i)
         i += 1
     return positions
+
+
+def _as_symbols(seq) -> Tuple[EndpointSymbol, ...]:
+    """Symbols of a sequence, an Endpoint list, or symbols or tokens."""
+    if isinstance(seq, EventSequence):
+        return tuple(e.symbol for e in seq.endpoints)
+    out = []
+    for item in seq:
+        if isinstance(item, EndpointSymbol):
+            out.append(item)
+        elif isinstance(item, str):
+            out.append(EndpointSymbol.parse(item))
+        else:  # an Endpoint
+            out.append(item.symbol)
+    return tuple(out)
+
+
+def contains(haystack, needle) -> bool:
+    """True iff needle embeds into haystack preserving order."""
+    return leftmost_match_scan(_as_symbols(haystack), _as_symbols(needle)) is not None
+
+
+def support(db: EventDatabase, seq) -> int:
+    """Number of sequences of db containing seq (each counted once)."""
+    needle = _as_symbols(seq)
+    return sum(
+        1
+        for s in db.sequences
+        if leftmost_match_scan(tuple(e.symbol for e in s.endpoints), needle) is not None
+    )
+
+
+@dataclass(frozen=True)
+class ProjectedDatabase:
+    """Pattern-growth search state: a prefix and the per-sequence suffixes."""
+
+    db: EventDatabase
+    prefix: Tuple[EndpointSymbol, ...]
+    entries: Tuple[Tuple[int, int], ...]  # (sequence index, suffix start)
+
+    @classmethod
+    def initial(cls, db: EventDatabase) -> "ProjectedDatabase":
+        return cls(db, (), tuple((i, 0) for i in range(len(db.sequences))))
+
+    @property
+    def open_starts(self) -> Tuple[str, ...]:
+        state: dict = {}
+        for sym in self.prefix:
+            state[sym.service_id] = not sym.is_end
+        return tuple(sorted(s for s, opened in state.items() if opened))
+
+    def suffixes(self) -> list:
+        out = []
+        for idx, pos in self.entries:
+            seq = self.db.sequences[idx]
+            out.append((seq.sid, seq.endpoints[pos:], self.open_starts))
+        return out
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def project(pdb: ProjectedDatabase, symbol: EndpointSymbol) -> ProjectedDatabase:
+    """Advance every suffix past its first match of symbol; drop the rest."""
+    new_entries = []
+    for idx, pos in pdb.entries:
+        endpoints = pdb.db.sequences[idx].endpoints
+        for j in range(pos, len(endpoints)):
+            if endpoints[j].symbol == symbol:
+                new_entries.append((idx, j + 1))
+                break
+    return ProjectedDatabase(pdb.db, pdb.prefix + (symbol,), tuple(new_entries))
+
+
+def canonical_endpoints(seq: EventSequence) -> list:
+    """Endpoint tokens of a sequence by the direct rule: by time, an end
+    before a start at the same time, then by service."""
+    points = []
+    for ev in seq.events:
+        points.append((ev.start_time, 1, ev.service_id, ev.service_id + "+"))
+        points.append((ev.end_time, 0, ev.service_id, ev.service_id + "-"))
+    return [token for *_, token in sorted(points)]
 
 
 def random_database(rng: random.Random, max_sequences=8, max_events=12, max_services=5):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracles import canonical_endpoints
+
 from habitminer.errors import DataError, ParseError
 from habitminer.events import (
     EndpointSymbol,
@@ -9,7 +11,6 @@ from habitminer.events import (
     EventSequence,
     ParseDiagnostics,
     ServiceEvent,
-    canonical_endpoints,
     parse_casas,
     parse_interval,
     partition_by_region,
@@ -177,7 +178,8 @@ def test_partition_preserves_order_and_counts():
 def test_canonical_endpoints_order():
     events = parse_interval(["E,01:00,01:15,r", "F,01:01,01:13,r"])
     seq = EventSequence(0, tuple(events))
-    assert [e.symbol.token for e in canonical_endpoints(seq)] == ["E+", "F+", "F-", "E-"]
+    tokens = [e.symbol.token for e in seq.endpoints]
+    assert tokens == canonical_endpoints(seq) == ["E+", "F+", "F-", "E-"]
 
 
 def test_canonical_endpoints_single_event():
@@ -188,7 +190,8 @@ def test_canonical_endpoints_single_event():
 def test_canonical_tiebreak_end_before_start():
     events = parse_interval(["A,08:00,09:00,r", "B,09:00,10:00,r"])
     seq = EventSequence(0, tuple(events))
-    assert [e.symbol.token for e in seq.endpoints] == ["A+", "A-", "B+", "B-"]
+    tokens = [e.symbol.token for e in seq.endpoints]
+    assert tokens == canonical_endpoints(seq) == ["A+", "A-", "B+", "B-"]
 
 
 def test_endpoint_roundtrip_structure(running_example):

@@ -7,23 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ProjectedDatabase,
+    contains,
     enumerate_patterns,
     leftmost_match_scan,
+    project,
     random_database,
+    support,
     wellformed_subsequences,
 )
 
 from habitminer.errors import ConfigError
 from habitminer.events import EndpointSymbol, EventSequence, parse_interval
-from habitminer.mining import (
-    ProjectedDatabase,
-    contains,
-    encode_database,
-    leftmost_match,
-    mine,
-    project,
-    support,
-)
+from habitminer.mining import encode_database, leftmost_match, mine
 
 
 def _sym(token):

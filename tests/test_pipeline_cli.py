@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import build_running_example, planted_chain, planted_household
 
@@ -12,9 +14,13 @@ from habitminer.errors import ConfigError
 from habitminer.events import partition_by_region
 from habitminer.mining import mine
 from habitminer.pipeline import (
+    ARTIFACTS,
+    _iso,
     _load_database,
+    _unixtime,
     load_model,
     run_pipeline,
+    stage_cluster,
     stage_ingest,
     stage_mine,
 )
@@ -127,6 +133,40 @@ def test_stage_isolation_byte_identical(fixture_trace, tmp_path):
     first = (outdir / "patterns.json").read_bytes()
     stage_mine(config, outdir)
     assert (outdir / "patterns.json").read_bytes() == first
+
+
+def test_artifacts_are_compact_sorted_json(fixture_trace, tmp_path):
+    outdir = tmp_path / "artifacts"
+    run_pipeline(fixture_config(), fixture_trace, outdir)
+    for name in ARTIFACTS.values():
+        text = (outdir / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_stage_cluster_ignores_instances(fixture_trace, tmp_path):
+    outdir = tmp_path / "artifacts"
+    config = fixture_config()
+    stage_ingest(config, fixture_trace, outdir)
+    stage_mine(config, outdir)
+    stage_cluster(config, outdir)
+    first = (outdir / "clusters.json").read_bytes()
+    patterns = outdir / "patterns.json"
+    doc = json.loads(patterns.read_text())
+    assert all(rec["instances"] for rec in doc["patterns"])
+    for rec in doc["patterns"]:
+        rec["instances"] = []
+    patterns.write_text(json.dumps(doc))
+    stage_cluster(config, outdir)
+    assert (outdir / "clusters.json").read_bytes() == first
+
+
+# datetime's whole range: 0001-01-01T00:00:00 to 9999-12-31T23:59:59
+@given(st.integers(min_value=-62_135_596_800, max_value=253_402_300_799))
+@example(-62_135_596_800)
+@example(253_402_300_799)
+@example(0)
+def test_iso_unixtime_round_trip(ts):
+    assert _unixtime(_iso(ts)) == ts
 
 
 def test_stage_requires_upstream(tmp_path):
@@ -268,6 +308,60 @@ def test_cli_exit_codes(tmp_path, capsys):
         run_cli("not-a-command")
     assert err.value.code == 1
     capsys.readouterr()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.fixture()
+def built(fixture_trace, tmp_path):
+    outdir = tmp_path / "artifacts"
+    run_pipeline(fixture_config(), fixture_trace, outdir)
+    return outdir
+
+
+def test_cli_truncated_model_exits_2(fixture_trace, built, capsys):
+    model = built / "model.json"
+    model.write_text(model.read_text()[:100])
+    assert run_cli("evaluate", str(fixture_trace), "--outdir", str(built)) == 2
+    assert "model.json" in _one_line_error(capsys)
+
+
+def test_cli_undecodable_artifact_exits_2(built, capsys):
+    (built / "patterns.json").write_bytes(b"\xff\xfe{}")
+    assert run_cli("cluster", "--outdir", str(built)) == 2
+    assert "patterns.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"kettle": ', "waits.json"),
+        ('["kettle", 3]', "waits.json"),
+        ('{"kettle": "abc"}', "'kettle'"),
+        ('{"kettle": true}', "'kettle'"),
+        ('{"kettle": NaN}', "'kettle'"),
+        ('{"kettle": Infinity}', "'kettle'"),
+        ('{"kettle": -1}', "'kettle'"),
+    ],
+)
+def test_cli_bad_wait_table_exits_1(fixture_trace, built, tmp_path, capsys, text, named):
+    waits = tmp_path / "waits.json"
+    waits.write_text(text)
+    argv = ["evaluate", str(fixture_trace), "--outdir", str(built), "--waits", str(waits)]
+    assert run_cli(*argv) == 1
+    assert named in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_cli_nonfinite_coordinates_exit_2(tmp_path, capsys, x):
+    log = tmp_path / "log.csv"
+    log.write_text(f"a,08:00,08:10,kitchen,1,2\nb,09:00,09:10,kitchen,{x},2\n")
+    assert run_cli("ingest", str(log), "--outdir", str(tmp_path / "artifacts")) == 2
+    assert "line 2" in _one_line_error(capsys)
 
 
 def test_cli_config_echo_embedded(fixture_trace, tmp_path):
