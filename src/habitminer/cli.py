@@ -25,7 +25,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_FLAGS = [
-    ("minsup", str, "support threshold: absolute count or percent like 5%"),
+    ("minsup", str, "support threshold: absolute count or percent like 5%%"),
     ("minsig", float, "significance threshold"),
     ("minpro", float, "combined proximity threshold"),
     ("w1", float, "spatial proximity weight"),

@@ -8,7 +8,9 @@ that actually start in the following window.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional, Tuple
 
 from .errors import DataError
@@ -125,18 +127,18 @@ def evaluate(
     window_s = int(window * 60)
     report = ConvenienceReport()
     for seq in trace.sequences:
-        boundaries = sorted({ev.end_time for ev in seq.events})
-        for t in boundaries:
-            observed = tuple(
-                ev for ev in seq.events if t - window_s <= ev.start_time <= t
-            )
-            actual = {
-                ev.service_id
-                for ev in seq.events
-                if t < ev.start_time <= t + window_s
-            }
-            if not observed:
+        # observed: start in [t - window, t]; upcoming: start in (t, t + window]
+        events = sorted(seq.events, key=attrgetter("start_time"))
+        starts = [ev.start_time for ev in events]
+        for t in sorted({ev.end_time for ev in seq.events}):
+            first = bisect_left(starts, t - window_s)
+            now = bisect_right(starts, t)
+            if first == now:
                 continue
+            observed = tuple(events[first:now])
+            actual = {
+                ev.service_id for ev in events[now:bisect_right(starts, t + window_s)]
+            }
             ranked = recognize(Observation(observed, now=t), model)
             top_id, top_scores = ranked[0]
             prediction = predict_next(top_id, model, top_scores)

@@ -364,41 +364,110 @@ def stage_model(config: PipelineConfig, outdir) -> dict:
     return {"stage": "model", "patterns": len(doc["patterns"])}
 
 
+_KIND_NAMES = {str: "a string", list: "a list", dict: "an object", float: "a number"}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a decoded JSON value is of `kind`; float stands for any number."""
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _field(rec, key: str, kind, where: str):
+    """rec[key], which must be of `kind`; DataError naming `where` otherwise."""
+    if not isinstance(rec, dict):
+        raise DataError(f"{where} is not an object")
+    if key not in rec:
+        raise DataError(f"{where} has no {key!r}")
+    if not _is_kind(rec[key], kind):
+        raise DataError(f"{where}: {key!r} is not {_KIND_NAMES[kind]}")
+    return rec[key]
+
+
+def _interval_from_doc(iv, where: str) -> RepresentativeInterval:
+    return RepresentativeInterval(
+        start=_field(iv, "start_min", float, where),
+        end=_field(iv, "end_min", float, where),
+        location=_field(iv, "location", str, where),
+        probability=_field(iv, "P", float, where),
+        tolerance=_field(iv, "zeta", float, where) if "zeta" in iv else 0.0,
+        support_count=_field(iv, "num", float, where),
+        total_count=_field(iv, "tnum", float, where),
+    )
+
+
 def model_from_doc(doc: dict, y_weights=(1.0, 1.0, 1.0)) -> PredictionModel:
+    """The model a model document describes.
+
+    A document of the wrong shape raises DataError: a field missing or of
+    the wrong JSON type, a relation name that is not one, or a matrix
+    naming a pattern the document does not hold.
+    """
+    if not isinstance(doc, dict):
+        raise DataError("model document is not an object")
+    records = _field(doc, "patterns", list, "model document")
+    vocabulary = _field(doc, "vocabulary", list, "model document")
+    matrix_doc = _field(doc, "matrix", dict, "model document")
+    ids = _field(matrix_doc, "patterns", list, "model matrix")
+    cells_doc = _field(matrix_doc, "cells", list, "model matrix")
+    if not all(_is_kind(svc, str) for svc in vocabulary):
+        raise DataError("model vocabulary holds a non-string")
+
     patterns = []
-    for rec in doc["patterns"]:
-        base = ProbabilisticCompositionPattern(
-            tuple((e["event"], e["p"]) for e in rec["entries"])
-        )
+    for n, rec in enumerate(records):
+        where = f"model pattern {n}"
+        entries = []
+        for e in _field(rec, "entries", list, where):
+            entries.append((_field(e, "event", str, where), _field(e, "p", float, where)))
         intervals = tuple(
-            RepresentativeInterval(
-                start=iv["start_min"],
-                end=iv["end_min"],
-                location=iv["location"],
-                probability=iv["P"],
-                tolerance=iv.get("zeta", 0.0),
-                support_count=iv["num"],
-                total_count=iv["tnum"],
-            )
-            for iv in rec["intervals"]
+            _interval_from_doc(iv, where) for iv in _field(rec, "intervals", list, where)
         )
-        patterns.append(PeriodicPattern(rec["pattern_id"], base, intervals))
-    ids = tuple(doc["matrix"]["patterns"])
+        patterns.append(
+            PeriodicPattern(
+                _field(rec, "pattern_id", str, where),
+                ProbabilisticCompositionPattern(tuple(entries)),
+                intervals,
+            )
+        )
+
+    known = {p.pattern_id for p in patterns}
+    for pid in ids:
+        if not _is_kind(pid, str) or pid not in known:
+            raise DataError(f"model matrix names unknown pattern {pid!r}")
     index = {pid: i for i, pid in enumerate(ids)}
     cells = {}
-    for cell in doc["matrix"]["cells"]:
-        cells[(index[cell["from"]], index[cell["to"]])] = TemporalCell(
-            cell["tran_pro"],
-            {AllenRelation(r): p for r, p in cell["relations"].items()},
-        )
-    matrix = TemporalMatrix(ids, cells)
-    return PredictionModel(tuple(patterns), matrix, tuple(doc["vocabulary"]), y_weights)
+    for n, cell in enumerate(cells_doc):
+        where = f"model matrix cell {n}"
+        ends = []
+        for key in ("from", "to"):
+            pid = _field(cell, key, str, where)
+            if pid not in index:
+                raise DataError(f"{where}: unknown pattern {pid!r}")
+            ends.append(index[pid])
+        relations = {}
+        for r, p in _field(cell, "relations", dict, where).items():
+            try:
+                relation = AllenRelation(r)
+            except ValueError:
+                raise DataError(f"{where}: unknown relation {r!r}") from None
+            if not _is_kind(p, float):
+                raise DataError(f"{where}: relation {r!r} is not a number")
+            relations[relation] = p
+        cells[tuple(ends)] = TemporalCell(_field(cell, "tran_pro", float, where), relations)
+    matrix = TemporalMatrix(tuple(ids), cells)
+    return PredictionModel(tuple(patterns), matrix, tuple(vocabulary), y_weights)
 
 
 def load_model(outdir, y_weights=(1.0, 1.0, 1.0)) -> PredictionModel:
-    if (Path(outdir) / ARTIFACTS["model"]).exists():
-        return model_from_doc(_load_artifact(outdir, "model"), y_weights)
-    return model_from_doc(_model_doc(outdir), y_weights)
+    path = Path(outdir) / ARTIFACTS["model"]
+    if not path.exists():
+        return model_from_doc(_model_doc(outdir), y_weights)
+    doc = _load_artifact(outdir, "model")
+    try:
+        return model_from_doc(doc, y_weights)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 _STAGES = ("ingest", "mine", "cluster", "periodic", "relations", "model")

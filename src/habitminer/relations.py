@@ -111,9 +111,6 @@ class TemporalMatrix:
     def cell_by_ids(self, from_id: str, to_id: str) -> TemporalCell:
         return self.cell(self.index_of(from_id), self.index_of(to_id))
 
-    def row(self, i: int) -> Dict[int, TemporalCell]:
-        return {j: c for (a, j), c in self.cells.items() if a == i}
-
 
 def build_matrix(pattern_instances: Sequence[Tuple[str, Sequence[InstanceRef]]]) -> TemporalMatrix:
     """Transition probabilities and relation mixes between patterns.

@@ -237,32 +237,56 @@ def _parse_minutes(value) -> int:
 
 
 def load_activity_specs(source) -> list:
-    """Read activity specs from a JSON file path, file object or dict."""
+    """Read activity specs from a JSON file path, file object or dict.
+
+    Raises SpecValidationError (a ConfigError) when the document is not a
+    JSON object with an "activities" list, when an activity lacks a name,
+    region or mandatory-service list, or when a field cannot be converted.
+    """
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
-        with open(source) as fh:
-            doc = json.load(fh)
+        try:
+            if hasattr(source, "read"):
+                doc = json.load(source)
+            else:
+                with open(source) as fh:
+                    doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SpecValidationError(f"activity spec is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SpecValidationError("activity spec is not a JSON object")
+    activities = doc.get("activities", [])
+    if not isinstance(activities, list):
+        raise SpecValidationError("activity spec: 'activities' is not a list")
     specs = []
-    for item in doc.get("activities", []):
-        specs.append(
-            ActivitySpec(
-                name=item["name"],
-                region=item["region"],
-                mandatory=tuple(item["mandatory"]),
-                optional=tuple((s, float(p)) for s, p in item.get("optional", [])),
-                start_mean=_parse_minutes(item.get("start_mean", 480)),
-                start_jitter=int(item.get("start_jitter", 0)),
-                duration=tuple(item.get("duration", (30, 30))),
-                daily_probability=float(item.get("daily_probability", 1.0)),
-                successors=tuple(
-                    SuccessorLink(t, AllenRelation(r), float(p))
-                    for t, r, p in item.get("successors", [])
-                ),
+    for n, item in enumerate(activities):
+        if not isinstance(item, dict):
+            raise SpecValidationError(f"activity {n} is not an object")
+        for key, kind in (("name", str), ("region", str), ("mandatory", list)):
+            if not isinstance(item.get(key), kind):
+                raise SpecValidationError(
+                    f"activity {n}: {key!r} is missing or not a {kind.__name__}"
+                )
+        try:
+            specs.append(
+                ActivitySpec(
+                    name=item["name"],
+                    region=item["region"],
+                    mandatory=tuple(item["mandatory"]),
+                    optional=tuple((s, float(p)) for s, p in item.get("optional", [])),
+                    start_mean=_parse_minutes(item.get("start_mean", 480)),
+                    start_jitter=int(item.get("start_jitter", 0)),
+                    duration=tuple(item.get("duration", (30, 30))),
+                    daily_probability=float(item.get("daily_probability", 1.0)),
+                    successors=tuple(
+                        SuccessorLink(t, AllenRelation(r), float(p))
+                        for t, r, p in item.get("successors", [])
+                    ),
+                )
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError(f"activity {item['name']!r}: {exc}") from None
     validate_specs(specs)
     return specs
 

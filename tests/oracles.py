@@ -7,11 +7,14 @@ implementations under test.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Tuple
 
 from habitminer.events import EndpointSymbol, EventDatabase, EventSequence, ServiceEvent
+from habitminer.predict import Scores
+from habitminer.quality import temporal_coverage
 from habitminer.relations import classify_ordered
 
 
@@ -228,3 +231,46 @@ def brute_force_matrix(pattern_instances):
             {r: c / num for r, c in rels.items()},
         )
     return out
+
+
+def oracle_score(pattern, obs, model) -> Scores:
+    """Recognition scores computed per pattern, straight from the
+    definitions: the structure distance over the vocabulary and the
+    observed services taken as one set (summed with math.fsum), the time
+    score as `temporal_coverage` of each interval and the window of day
+    shifted a day back, unshifted and a day on, and linear scans for
+    involvement, region and the fallback interval."""
+
+    def involvement(svc):
+        return next((p for t, p in pattern.base.entries if t == svc), 0.0)
+
+    present = {ev.service_id for ev in obs.events}
+    coords = set(model.vocabulary) | present
+    d2 = math.fsum((involvement(t) - (1.0 if t in present else 0.0)) ** 2 for t in coords)
+    y_s = 1.0 / (1.0 + math.sqrt(d2))
+
+    start = min(ev.start_time for ev in obs.events)
+    end = max(obs.now if ev.end_time is None else ev.end_time for ev in obs.events)
+    end = max(start, end)
+    m = (start // 60) % 1440
+    w = (m, m + max(0, (end // 60) - (start // 60)))
+    y_t, matched = 0.0, None
+    for iv in pattern.intervals:
+        for shift in (-1440, 0, 1440):
+            value = temporal_coverage([(iv.start, iv.end), (w[0] + shift, w[1] + shift)])
+            if value > y_t:
+                y_t, matched = value, iv
+    if pattern.intervals and matched is None:
+        matched = min(pattern.intervals, key=lambda iv: (-iv.probability, iv.start, iv.location))
+
+    regions = [ev.region for ev in obs.events]
+    region = min(set(regions), key=lambda r: (-regions.count(r), r))
+    y_l = 1.0 if matched is not None and matched.location == region else 0.0
+    ws, wt, wl = model.weights
+    return Scores(ws * y_s + wt * y_t + wl * y_l, y_s, y_t, y_l)
+
+
+def oracle_recognize(obs, model) -> list:
+    """Every pattern's oracle scores, best first, ties to the smaller id."""
+    scored = [(p.pattern_id, oracle_score(p, obs, model)) for p in model.patterns]
+    return sorted(scored, key=lambda t: (-t[1].total, t[0]))

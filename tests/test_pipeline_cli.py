@@ -337,6 +337,83 @@ def test_cli_undecodable_artifact_exits_2(built, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc.clear(), "'patterns'"),
+        (lambda doc: doc.update(patterns={}), "'patterns'"),
+        (lambda doc: doc.update(vocabulary=None), "'vocabulary'"),
+        (lambda doc: doc.update(vocabulary=[1]), "vocabulary"),
+        (lambda doc: doc.update(matrix=[]), "'matrix'"),
+        (lambda doc: doc["matrix"].update(patterns="c0"), "'patterns'"),
+        (lambda doc: doc["matrix"].update(cells={}), "'cells'"),
+        (lambda doc: doc["matrix"]["cells"][0].update(to="nowhere"), "'nowhere'"),
+        (lambda doc: doc["matrix"]["cells"][0].update(relations={"sideways": 1.0}), "'sideways'"),
+        (lambda doc: doc["matrix"]["cells"][0].update(tran_pro="high"), "'tran_pro'"),
+        (lambda doc: doc["matrix"]["patterns"].__setitem__(0, "ghost"), "'ghost'"),
+        (lambda doc: doc["patterns"][0].pop("entries"), "'entries'"),
+        (lambda doc: doc["patterns"][0].update(pattern_id=7), "'pattern_id'"),
+        (lambda doc: doc["patterns"][0]["entries"].append(["a", 1.0]), "not an object"),
+        (lambda doc: doc["patterns"][0]["intervals"][0].update(P=None), "'P'"),
+    ],
+)
+def test_cli_wrong_shape_model_exits_2(fixture_trace, built, capsys, edit, named):
+    doc = json.loads((built / "model.json").read_text())
+    assert doc["matrix"]["cells"] and doc["patterns"][0]["intervals"]
+    edit(doc)
+    (built / "model.json").write_text(json.dumps(doc))
+    assert run_cli("evaluate", str(fixture_trace), "--outdir", str(built)) == 2
+    err = _one_line_error(capsys)
+    assert "model.json" in err and named in err
+
+
+@pytest.mark.parametrize("doc", [[], "", 3])
+def test_cli_non_object_model_exits_2(fixture_trace, built, capsys, doc):
+    (built / "model.json").write_text(json.dumps(doc))
+    assert run_cli("evaluate", str(fixture_trace), "--outdir", str(built)) == 2
+    assert "model.json" in _one_line_error(capsys)
+
+
+_TEA = {"name": "tea", "region": "kitchen", "mandatory": ["kettle"]}
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (json.dumps({"activities": [{k: v for k, v in _TEA.items() if k != "region"}]}), "'region'"),
+        (json.dumps({"activities": [{k: v for k, v in _TEA.items() if k != "name"}]}), "'name'"),
+        (json.dumps({"activities": [{k: v for k, v in _TEA.items() if k != "mandatory"}]}), "'mandatory'"),
+        (json.dumps({"activities": [dict(_TEA, mandatory="kettle")]}), "'mandatory'"),
+        (json.dumps({"activities": [dict(_TEA, start_mean="noon")]}), "'tea'"),
+        (json.dumps({"activities": [dict(_TEA, successors=[["tea", "sideways", 1]])]}), "'tea'"),
+        (json.dumps({"activities": {"tea": _TEA}}), "'activities'"),
+        (json.dumps({"activities": ["tea"]}), "activity 0"),
+        (json.dumps([_TEA]), "not a JSON object"),
+        ('{"activities": [', "not valid JSON"),
+    ],
+)
+def test_cli_bad_activity_spec_exits_1(tmp_path, capsys, text, named):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run_cli("simulate", "--spec", str(spec), "--outdir", str(tmp_path / "sim")) == 1
+    assert named in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [None, "ingest", "mine", "cluster", "periodic", "relations", "run", "predict",
+     "evaluate", "simulate"],
+)
+def test_cli_help(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"] if command else ["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: habitminer")
+    if command is not None:
+        assert "--minsup" in out
+
+
+@pytest.mark.parametrize(
     "text, named",
     [
         ('{"kettle": ', "waits.json"),

@@ -1,6 +1,16 @@
 """Recognition scoring and next-activity prediction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import oracle_recognize, oracle_score
+
+import habitminer
 
 from habitminer.clustering import ProbabilisticCompositionPattern
 from habitminer.errors import DataError
@@ -264,3 +274,89 @@ def test_observation_window_and_region():
     assert obs.region == "kitchen"
     with pytest.raises(DataError):
         Observation((ServiceEvent("a", 0, None, "r"),)).window
+
+
+SERVICES = ("a", "b", "c", "d", "e")
+REGIONS = ("kitchen", "hall")
+_PROBABILITY = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def models(draw):
+    """Random models: vocabularies that repeat services or miss some a
+    pattern involves, repeated entries, and patterns without intervals."""
+    patterns = []
+    for n in range(draw(st.integers(1, 4))):
+        entries = draw(st.lists(st.tuples(st.sampled_from(SERVICES), _PROBABILITY), max_size=6))
+        intervals = []
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(0, 1439))
+            intervals.append(interval(start, start + draw(st.integers(0, 600)),
+                                      draw(st.sampled_from(REGIONS)), draw(_PROBABILITY)))
+        patterns.append(periodic(f"p{n}", entries, intervals))
+    ids = tuple(p.pattern_id for p in patterns)
+    vocabulary = tuple(draw(st.lists(st.sampled_from(SERVICES), max_size=8)))
+    weights = tuple(draw(st.floats(0.0, 3.0)) for _ in range(3))
+    return PredictionModel(tuple(patterns), TemporalMatrix(ids, {}), vocabulary, weights)
+
+
+@st.composite
+def observations(draw):
+    """Random observations over three days, with services outside every
+    vocabulary, open events and windows that wrap midnight."""
+    events = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = draw(st.integers(0, 3 * 86400))
+        end = draw(st.none() | st.integers(start, start + 4 * 3600))
+        events.append(ServiceEvent(draw(st.sampled_from(SERVICES + ("x", "y"))), start, end,
+                                   draw(st.sampled_from(REGIONS))))
+    now = max(ev.start_time for ev in events) + draw(st.integers(0, 3600))
+    return Observation(tuple(events), now=now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(models(), observations())
+@example(  # a window from 23:30 to 00:30 against an interval at 00:00-00:45
+    model_of([periodic("p", [("a", 0.5)], [interval(0, 45)])]),
+    obs_of([("a", 23 * 60 + 30, 24 * 60 + 30)]),
+)
+def test_recognize_equals_oracle(model, obs):
+    assert recognize(obs, model) == oracle_recognize(obs, model)
+    for pattern in model.patterns:
+        assert score(pattern, obs, model) == oracle_score(pattern, obs, model)
+
+
+_SCORES_SCRIPT = """
+from habitminer.clustering import ProbabilisticCompositionPattern
+from habitminer.events import ServiceEvent
+from habitminer.predict import Observation, PeriodicPattern, PredictionModel, recognize
+from habitminer.relations import TemporalMatrix
+
+services = [f"s{i}" for i in range(40)]
+patterns = tuple(
+    PeriodicPattern(f"p{k}", ProbabilisticCompositionPattern(
+        tuple((svc, 1 / (i + k + 3)) for i, svc in enumerate(services))), ())
+    for k in range(3)
+)
+model = PredictionModel(patterns, TemporalMatrix(("p0", "p1", "p2"), {}), tuple(services))
+obs = Observation(tuple(ServiceEvent(svc, 0, 60, "r") for svc in services[::3]))
+for pid, s in recognize(obs, model):
+    print(pid, repr(s.total), repr(s.structure))
+"""
+
+
+def test_recognize_scores_do_not_depend_on_hash_seed():
+    src = str(Path(habitminer.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _SCORES_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 3
+
+
+def test_predict_next_unknown_id():
+    with pytest.raises(DataError):
+        predict_next("nope", breakfast_model())
