@@ -64,6 +64,10 @@ def validate_specs(specs: Sequence[ActivitySpec]):
             raise SpecValidationError(f"{spec.name}: needs at least one mandatory service")
         if spec.start_jitter < 0:
             raise SpecValidationError(f"{spec.name}: negative jitter")
+        if len(spec.duration) != 2 or not all(
+            isinstance(d, int) and not isinstance(d, bool) for d in spec.duration
+        ):
+            raise SpecValidationError(f"{spec.name}: duration must be two whole minutes")
         dmin, dmax = spec.duration
         if not 0 < dmin <= dmax:
             raise SpecValidationError(f"{spec.name}: bad duration range {spec.duration}")

@@ -384,6 +384,8 @@ _TEA = {"name": "tea", "region": "kitchen", "mandatory": ["kettle"]}
         (json.dumps({"activities": [{k: v for k, v in _TEA.items() if k != "mandatory"}]}), "'mandatory'"),
         (json.dumps({"activities": [dict(_TEA, mandatory="kettle")]}), "'mandatory'"),
         (json.dumps({"activities": [dict(_TEA, start_mean="noon")]}), "'tea'"),
+        (json.dumps({"activities": [dict(_TEA, duration=[10, 12, 14])]}), "duration"),
+        (json.dumps({"activities": [dict(_TEA, duration=["a", "b"])]}), "duration"),
         (json.dumps({"activities": [dict(_TEA, successors=[["tea", "sideways", 1]])]}), "'tea'"),
         (json.dumps({"activities": {"tea": _TEA}}), "'activities'"),
         (json.dumps({"activities": ["tea"]}), "activity 0"),

@@ -320,6 +320,10 @@ def observations(draw):
     model_of([periodic("p", [("a", 0.5)], [interval(0, 45)])]),
     obs_of([("a", 23 * 60 + 30, 24 * 60 + 30)]),
 )
+@example(  # no coverage anywhere: the location comes from the top interval
+    model_of([periodic("p", [("a", 0.5)], [interval(600, 600), interval(900, 900, "hall", 0.5)])]),
+    obs_of([("a", 100, 100)]),
+)
 def test_recognize_equals_oracle(model, obs):
     assert recognize(obs, model) == oracle_recognize(obs, model)
     for pattern in model.patterns:
