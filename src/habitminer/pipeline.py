@@ -1,8 +1,12 @@
 """Stage orchestration over inspectable JSON artifacts.
 
-Every stage reads the previous stage's file from the artifact directory,
-writes its own atomically, and embeds the resolved configuration so any
-stage can be rerun (or replaced by an oracle) in isolation.
+Every stage writes its artifact atomically and embeds the resolved
+configuration, so any stage can be rerun (or replaced by an oracle) in
+isolation. A stage run alone reads its inputs from the artifact directory,
+each artifact through its one loader, which checks the document's shape.
+Inside run_pipeline each stage hands its document (ingest: the event
+database) to the later stages in memory, so a build reads back none of
+the artifacts it writes.
 """
 
 from __future__ import annotations
@@ -73,15 +77,34 @@ def _load_artifact(outdir, stage: str) -> dict:
     return _read_json(path)
 
 
+def _take(outdir, stage: str, docs, keep: bool = False):
+    """The document of `stage`, and the file it was read from or None.
+
+    Inside run_pipeline, `docs` holds the documents earlier stages wrote;
+    the document is taken from there and dropped unless `keep` says a
+    later stage reads it too. This process built it, so the file is None
+    and its shape is not checked again. A stage run alone (docs is None)
+    reads the artifact, whose shape the caller checks.
+    """
+    if docs is None:
+        return _load_artifact(outdir, stage), str(Path(outdir) / ARTIFACTS[stage])
+    return (docs[stage] if keep else docs.pop(stage)), None
+
+
 def _iso(ts: int) -> str:
     return from_timestamp(ts).isoformat()
 
 
 def _unixtime(text: str) -> int:
-    return to_timestamp(datetime.fromisoformat(text))
+    try:
+        return to_timestamp(datetime.fromisoformat(text))
+    except ValueError:
+        raise DataError(f"{text!r} is not an ISO timestamp") from None
 
 
-def stage_ingest(config: PipelineConfig, input_path, outdir, fmt: str = "interval") -> dict:
+def stage_ingest(
+    config: PipelineConfig, input_path, outdir, fmt: str = "interval", docs=None
+) -> dict:
     diag = ParseDiagnostics()
     with open(input_path) as fh:
         if fmt == "casas":
@@ -114,6 +137,9 @@ def stage_ingest(config: PipelineConfig, input_path, outdir, fmt: str = "interva
         ],
     }
     _write_json(Path(outdir) / ARTIFACTS["ingest"], doc)
+    if docs is not None:
+        # the database events.json describes, as _load_database would rebuild it
+        docs["database"] = db
     return {
         "stage": "ingest",
         "sequences": len(db),
@@ -122,8 +148,26 @@ def stage_ingest(config: PipelineConfig, input_path, outdir, fmt: str = "interva
     }
 
 
+def _check_events(doc, where: str):
+    """The shape of events.json as _load_database and _model_doc read it."""
+    for n, rec in enumerate(_field(doc, "sequences", list, where)):
+        at = f"{where} sequence {n}"
+        _field(rec, "sid", int, at)
+        for e in _field(rec, "events", list, at):
+            for key in ("service", "start", "end", "region"):
+                _field(e, key, str, at)
+            coord = e.get("coord")
+            if coord is not None and not (
+                isinstance(coord, list)
+                and len(coord) == 2
+                and all(_is_kind(c, float) and math.isfinite(c) for c in coord)
+            ):
+                raise DataError(f"{at}: 'coord' is neither null nor two finite numbers")
+
+
 def _load_database(outdir) -> EventDatabase:
-    doc = _load_artifact(outdir, "ingest")
+    doc, where = _take(outdir, "ingest", None)
+    _check_events(doc, where)
     sequences = []
     for rec in doc["sequences"]:
         events = tuple(
@@ -141,8 +185,8 @@ def _load_database(outdir) -> EventDatabase:
     return EventDatabase(tuple(sequences))
 
 
-def stage_mine(config: PipelineConfig, outdir) -> dict:
-    db = _load_database(outdir)
+def stage_mine(config: PipelineConfig, outdir, docs=None) -> dict:
+    db = _load_database(outdir) if docs is None else docs.pop("database")
     by_region = partition_by_region(db)
     table = EventProbabilityTable.from_database(db) if by_region else None
     counts = {"mined": 0, "significant": 0, "proximate": 0, "kept": 0}
@@ -206,12 +250,25 @@ def stage_mine(config: PipelineConfig, outdir) -> dict:
         ],
     }
     _write_json(Path(outdir) / ARTIFACTS["mine"], doc)
+    if docs is not None:
+        docs["mine"] = doc
+        # stage_model's vocabulary, which it would read from events.json
+        docs["vocabulary"] = doc["vocabulary"]
     return {"stage": "mine", "counts": counts, "minsup_resolved": minsup_resolved}
 
 
-def _patterns_from_artifact(doc) -> list:
+def _patterns_from_artifact(doc, where=None) -> list:
     """(id, CompositionPattern) pairs from patterns.json, without instances:
-    clustering reads only each pattern's event types and support."""
+    clustering reads only each pattern's event types and support. `where`
+    names the file a document was read from, whose shape is checked."""
+    if where:
+        for n, rec in enumerate(_field(doc, "patterns", list, where)):
+            at = f"{where} pattern {n}"
+            _field(rec, "id", str, at)
+            _field(rec, "region", str, at)
+            _field(rec, "support", int, at)
+            if not all(isinstance(t, str) for t in _field(rec, "seq", list, at)):
+                raise DataError(f"{at}: 'seq' holds a non-string")
     return [
         (
             rec["id"],
@@ -226,9 +283,8 @@ def _patterns_from_artifact(doc) -> list:
     ]
 
 
-def stage_cluster(config: PipelineConfig, outdir) -> dict:
-    doc = _load_artifact(outdir, "mine")
-    pairs = _patterns_from_artifact(doc)
+def stage_cluster(config: PipelineConfig, outdir, docs=None) -> dict:
+    pairs = _patterns_from_artifact(*_take(outdir, "mine", docs, keep=True))
     clusters_doc = []
     if pairs:
         if config.k > len(pairs):
@@ -250,13 +306,50 @@ def stage_cluster(config: PipelineConfig, outdir) -> dict:
             )
     out = {"config": config.as_dict(), "clusters": clusters_doc}
     _write_json(Path(outdir) / ARTIFACTS["cluster"], out)
+    if docs is not None:
+        docs["cluster"] = out
     return {"stage": "cluster", "clusters": len(clusters_doc)}
 
 
-def _cluster_instances(outdir):
-    """Per cluster id, the (sid, start, end, region) of member instances."""
-    clusters = _load_artifact(outdir, "cluster")["clusters"]
-    patterns = {rec["id"]: rec for rec in _load_artifact(outdir, "mine")["patterns"]}
+def _check_instances(doc, where: str):
+    """The shape of patterns.json as _cluster_instances reads it."""
+    for n, rec in enumerate(_field(doc, "patterns", list, where)):
+        at = f"{where} pattern {n}"
+        _field(rec, "id", str, at)
+        _field(rec, "region", str, at)
+        for inst in _field(rec, "instances", list, at):
+            _field(inst, "sid", int, at)
+            if not _field(inst, "events", list, at):
+                raise DataError(f"{at}: an instance has no events")
+            for e in inst["events"]:
+                _field(e, "start", str, at)
+                _field(e, "end", str, at)
+
+
+def _check_clusters(doc, where: str, patterns: dict):
+    """The shape of clusters.json as _cluster_instances and its callers
+    read it; every member must be a pattern of `patterns`."""
+    for n, cl in enumerate(_field(doc, "clusters", list, where)):
+        at = f"{where} cluster {n}"
+        _field(cl, "cluster_id", str, at)
+        _field(cl, "entries", list, at)
+        for pid in _field(cl, "members", list, at):
+            if not isinstance(pid, str) or pid not in patterns:
+                raise DataError(f"{at}: member {pid!r} is not a mined pattern")
+
+
+def _cluster_instances(outdir, docs=None):
+    """Per cluster, its record and the (sid, start, end, region) of its
+    member instances. In a build this takes the last of the clusters and
+    patterns documents."""
+    clusters_doc, clusters_where = _take(outdir, "cluster", docs)
+    patterns_doc, patterns_where = _take(outdir, "mine", docs)
+    if patterns_where:
+        _check_instances(patterns_doc, patterns_where)
+    patterns = {rec["id"]: rec for rec in patterns_doc["patterns"]}
+    if clusters_where:
+        _check_clusters(clusters_doc, clusters_where, patterns)
+    clusters = clusters_doc["clusters"]
     # instances share their events' stamps: convert each distinct one once
     stamps = {
         e[key]
@@ -279,10 +372,11 @@ def _cluster_instances(outdir):
     return out
 
 
-def stage_periodic(config: PipelineConfig, outdir) -> dict:
+def stage_periodic(config: PipelineConfig, outdir, docs=None) -> dict:
     records = []
     n_intervals = 0
-    for cl, instances in _cluster_instances(outdir):
+    cluster_instances = _cluster_instances(outdir, docs)
+    for cl, instances in cluster_instances:
         intervals = representative_intervals(
             [(start // 60, end // 60, region) for _, start, end, region in instances],
             zeta=config.zeta,
@@ -311,12 +405,19 @@ def stage_periodic(config: PipelineConfig, outdir) -> dict:
         )
     doc = {"config": config.as_dict(), "patterns": records}
     _write_json(Path(outdir) / ARTIFACTS["periodic"], doc)
+    if docs is not None:
+        docs["periodic"] = doc
+        docs["cluster_instances"] = cluster_instances
     return {"stage": "periodic", "patterns": len(records), "intervals": n_intervals}
 
 
-def stage_relations(config: PipelineConfig, outdir) -> dict:
+def stage_relations(config: PipelineConfig, outdir, docs=None) -> dict:
+    if docs is None:
+        cluster_instances = _cluster_instances(outdir)
+    else:
+        cluster_instances = docs.pop("cluster_instances")
     pattern_instances = []
-    for cl, instances in _cluster_instances(outdir):
+    for cl, instances in cluster_instances:
         refs = [InstanceRef(sid, start, end) for sid, start, end, _ in instances]
         pattern_instances.append((cl["cluster_id"], refs))
     matrix = build_matrix(pattern_instances)
@@ -337,40 +438,57 @@ def stage_relations(config: PipelineConfig, outdir) -> dict:
         "density": len(cells) / (n * (n - 1)) if n > 1 else 0.0,
     }
     _write_json(Path(outdir) / ARTIFACTS["relations"], doc)
+    if docs is not None:
+        docs["relations"] = doc
     return {"stage": "relations", "patterns": n, "cells": len(cells), "density": doc["density"]}
 
 
-def _model_doc(outdir) -> dict:
-    """The model document, less its config echo, from upstream artifacts.
+def _model_doc(outdir, docs=None) -> dict:
+    """The model document, less its config echo, from upstream documents.
 
     The vocabulary is the sorted service set of events.json: the same list
-    patterns.json records, from a file a quarter its size.
+    patterns.json records, from a file a quarter its size. In a build,
+    stage_mine hands that list forward instead.
     """
-    periodic_doc = _load_artifact(outdir, "periodic")
-    matrix_doc = _load_artifact(outdir, "relations")
-    events_doc = _load_artifact(outdir, "ingest")
-    return {
-        "vocabulary": sorted(
+    periodic_doc, where = _take(outdir, "periodic", docs)
+    if where:
+        _field(periodic_doc, "patterns", list, where)
+    matrix_doc, where = _take(outdir, "relations", docs)
+    if where:
+        _field(matrix_doc, "patterns", list, where)
+        _field(matrix_doc, "cells", list, where)
+    if docs is None:
+        events_doc, where = _take(outdir, "ingest", None)
+        _check_events(events_doc, where)
+        vocabulary = sorted(
             {e["service"] for rec in events_doc["sequences"] for e in rec["events"]}
-        ),
+        )
+    else:
+        vocabulary = docs.pop("vocabulary")
+    return {
+        "vocabulary": vocabulary,
         "patterns": periodic_doc["patterns"],
         "matrix": {"patterns": matrix_doc["patterns"], "cells": matrix_doc["cells"]},
     }
 
 
-def stage_model(config: PipelineConfig, outdir) -> dict:
-    doc = {"config": config.as_dict(), **_model_doc(outdir)}
+def stage_model(config: PipelineConfig, outdir, docs=None) -> dict:
+    doc = {"config": config.as_dict(), **_model_doc(outdir, docs)}
     _write_json(Path(outdir) / ARTIFACTS["model"], doc)
     return {"stage": "model", "patterns": len(doc["patterns"])}
 
 
-_KIND_NAMES = {str: "a string", list: "a list", dict: "an object", float: "a number"}
+_KIND_NAMES = {
+    str: "a string", list: "a list", dict: "an object", float: "a number", int: "an integer"
+}
 
 
 def _is_kind(value, kind) -> bool:
     """Whether a decoded JSON value is of `kind`; float stands for any number."""
     if kind is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, kind)
 
 
@@ -474,15 +592,22 @@ _STAGES = ("ingest", "mine", "cluster", "periodic", "relations", "model")
 
 
 def run_pipeline(config: PipelineConfig, input_path, outdir, fmt: str = "interval") -> dict:
-    """Run every stage in order; abort (and name the stage) on first error."""
+    """Run every stage in order; abort (and name the stage) on first error.
+
+    Each stage hands its document to the later stages through `docs`,
+    except stage_ingest, which hands stage_mine the event database itself;
+    stage_mine adds the vocabulary and stage_periodic the clusters'
+    instances. Each leaves `docs` with its last reader.
+    """
     reports = {}
+    docs: dict = {}
     for stage in _STAGES:
         try:
             if stage == "ingest":
-                reports[stage] = stage_ingest(config, input_path, outdir, fmt)
+                reports[stage] = stage_ingest(config, input_path, outdir, fmt, docs=docs)
             else:
                 runner = globals()[f"stage_{stage}"]
-                reports[stage] = runner(config, outdir)
+                reports[stage] = runner(config, outdir, docs=docs)
         except HabitMinerError as exc:
             artifact = Path(outdir) / ARTIFACTS[stage]
             if artifact.exists():

@@ -2,14 +2,24 @@
 
 classify_ordered() is total over valid interval pairs: when no relation
 predicate holds for (a, b) the roles are swapped and the relation is
-reported for (b, a). build_matrix() counts, per source instance, one
-transit to the earliest co-starting-or-later instance of each other
-pattern; swapped classifications are booked under the swapped cell so
+reported for (b, a).
+
+build_matrix() counts, per source instance, one transit to the earliest
+co-starting-or-later instance of each other pattern in its sequence. It
+works on intervals, not instances: per sequence and pattern, instances
+with the same (start, end) form one group, which keeps its lowest
+instance index and its multiplicity. A group finds its target in each
+other pattern by bisecting that pattern's sorted group starts, so each
+distinct interval pair is classified once. A direct classification
+counts once per instance of the source group. A swapped one is booked
+under the swapped cell, once, for the target group's lowest-index
+instance, where it gives way to that instance's own direct transit; so
 every cell's relation mass always sums to its transition probability.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Sequence, Tuple
@@ -99,18 +109,6 @@ class TemporalMatrix:
     pattern_ids: Tuple[str, ...]
     cells: Dict[Tuple[int, int], TemporalCell]
 
-    def index_of(self, pattern_id: str) -> int:
-        try:
-            return self.pattern_ids.index(pattern_id)
-        except ValueError:
-            raise DataError(f"unknown pattern id {pattern_id!r}") from None
-
-    def cell(self, i: int, j: int) -> TemporalCell:
-        return self.cells.get((i, j), TemporalCell())
-
-    def cell_by_ids(self, from_id: str, to_id: str) -> TemporalCell:
-        return self.cell(self.index_of(from_id), self.index_of(to_id))
-
 
 def build_matrix(pattern_instances: Sequence[Tuple[str, Sequence[InstanceRef]]]) -> TemporalMatrix:
     """Transition probabilities and relation mixes between patterns.
@@ -121,48 +119,58 @@ def build_matrix(pattern_instances: Sequence[Tuple[str, Sequence[InstanceRef]]])
     ids = tuple(pid for pid, _ in pattern_instances)
     if len(set(ids)) != len(ids):
         raise DataError("duplicate pattern ids")
-    inst_lists = [list(insts) for _, insts in pattern_instances]
-    n = len(ids)
 
+    # sid -> pattern -> (start, end) -> [lowest instance index, multiplicity]
     by_sid: dict = {}
-    for p, insts in enumerate(inst_lists):
+    for p, (_, insts) in enumerate(pattern_instances):
         for idx, inst in enumerate(insts):
-            by_sid.setdefault(inst.sid, []).append((p, idx, inst))
-    for rows in by_sid.values():
-        rows.sort(key=lambda r: (r[2].start, r[2].end, r[0], r[1]))
+            groups = by_sid.setdefault(inst.sid, {}).setdefault(p, {})
+            group = groups.get((inst.start, inst.end))
+            if group is None:
+                groups[(inst.start, inst.end)] = [idx, 1]
+            else:
+                group[1] += 1
 
-    # (cell, row-instance) -> best contribution (priority, tiebreak, relation)
+    # (row pattern, column pattern, row group's lowest index) -> (rank,
+    # relation, count). A direct transit ranks (0,) and beats any swapped
+    # one; swapped ones rank by their source interval, which is unique
+    # among one pattern's groups in one sequence.
     chosen: dict = {}
-
-    def offer(cell, key, priority, tiebreak, relation):
-        prev = chosen.get((cell, key))
-        if prev is None or (priority, tiebreak) < prev[0]:
-            chosen[(cell, key)] = ((priority, tiebreak), relation)
-
-    for p in range(n):
-        for a_idx, a in enumerate(inst_lists[p]):
-            rows = by_sid.get(a.sid, [])
-            best: dict = {}
-            for q, b_idx, b in rows:
-                if q == p or b.start < a.start:
+    relation_of: dict = {}  # (a0, a1, b0, b1) -> classify_ordered's result
+    for patterns in by_sid.values():
+        tables = []
+        for p, groups in patterns.items():
+            rows = sorted((s, e, low, mult) for (s, e), (low, mult) in groups.items())
+            tables.append((p, rows, [row[0] for row in rows]))
+        for p, rows, _ in tables:
+            for q, targets, starts in tables:
+                if q == p:
                     continue
-                key = (b.start, b.end, b_idx)
-                if q not in best or key < best[q][0]:
-                    best[q] = (key, b_idx, b)
-            for q, (_, b_idx, b) in best.items():
-                rel, swapped = classify_ordered((a.start, a.end), (b.start, b.end))
-                if not swapped:
-                    offer((p, q), a_idx, 0, (b.start, b.end, b_idx), rel)
-                else:
-                    offer((q, p), b_idx, 1, (a.start, a.end, a_idx), rel)
+                for a0, a1, a_low, mult in rows:
+                    k = bisect_left(starts, a0)
+                    if k == len(starts):
+                        break  # rows run by start: no later row has a target either
+                    b0, b1, b_low, _ = targets[k]
+                    pair = (a0, a1, b0, b1)
+                    found = relation_of.get(pair)
+                    if found is None:
+                        found = relation_of[pair] = classify_ordered((a0, a1), (b0, b1))
+                    rel, swapped = found
+                    if not swapped:
+                        chosen[p, q, a_low] = ((0,), rel, mult)
+                    else:
+                        rank = (1, a0, a1)
+                        prev = chosen.get((q, p, b_low))
+                        if prev is None or rank < prev[0]:
+                            chosen[q, p, b_low] = (rank, rel, 1)
 
     cells: dict = {}
-    for (cell, _), (_, rel) in chosen.items():
-        agg = cells.setdefault(cell, {})
-        agg[rel] = agg.get(rel, 0) + 1
+    for (i, j, _), (_, rel, count) in chosen.items():
+        agg = cells.setdefault((i, j), {})
+        agg[rel] = agg.get(rel, 0) + count
     out: dict = {}
     for (i, j), rel_counts in cells.items():
-        num_i = len(inst_lists[i])
+        num_i = len(pattern_instances[i][1])
         total = sum(rel_counts.values())
         out[(i, j)] = TemporalCell(
             tran_pro=total / num_i,

@@ -15,7 +15,7 @@ from typing import Tuple
 from habitminer.events import EndpointSymbol, EventDatabase, EventSequence, ServiceEvent
 from habitminer.predict import Scores
 from habitminer.quality import temporal_coverage
-from habitminer.relations import classify_ordered
+from habitminer.relations import TemporalCell, classify_ordered
 
 
 def wellformed_subsequences(codes) -> set:
@@ -231,6 +231,13 @@ def brute_force_matrix(pattern_instances):
             {r: c / num for r, c in rels.items()},
         )
     return out
+
+
+def matrix_cell(matrix, from_id: str, to_id: str) -> TemporalCell:
+    """The cell from one pattern id to another, empty when no transit was
+    counted; an unknown id raises ValueError."""
+    ids = matrix.pattern_ids
+    return matrix.cells.get((ids.index(from_id), ids.index(to_id)), TemporalCell())
 
 
 def oracle_score(pattern, obs, model) -> Scores:

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from conftest import build_running_example, planted_chain, planted_household
-from oracles import enumerate_patterns, random_database
+from oracles import enumerate_patterns, matrix_cell, random_database
 
 from habitminer.clustering import ProbabilisticCompositionPattern
 from habitminer.config import build_config
@@ -220,7 +220,7 @@ def test_c09_transition_recovery(tmp_path):
     )
     _, cook = _best_match(model, specs[0].mandatory)
     _, dishes = _best_match(model, specs[1].mandatory)
-    cell = model.matrix.cell_by_ids(cook.pattern_id, dishes.pattern_id)
+    cell = matrix_cell(model.matrix, cook.pattern_id, dishes.pattern_id)
     before = cell.relations.get(AllenRelation.BEFORE, 0.0)
     elapsed = time.perf_counter() - t0
     ok = abs(before - 1.0) <= 0.01 and cell.tran_pro >= 0.9 and elapsed < 30.0

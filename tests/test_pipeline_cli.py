@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_running_example, planted_chain, planted_household
 
+from habitminer import pipeline
 from habitminer.cli import main
 from habitminer.config import PipelineConfig, build_config, read_config_file
 from habitminer.errors import ConfigError
@@ -133,6 +134,42 @@ def test_stage_isolation_byte_identical(fixture_trace, tmp_path):
     first = (outdir / "patterns.json").read_bytes()
     stage_mine(config, outdir)
     assert (outdir / "patterns.json").read_bytes() == first
+
+
+@pytest.fixture()
+def chain_trace(tmp_path):
+    db, _ = generate(planted_chain(), 14, seed=9)
+    path = tmp_path / "chain.csv"
+    path.write_text(format_trace(db))
+    return path
+
+
+def test_run_pipeline_matches_stages_run_alone(chain_trace, tmp_path):
+    config = build_config(None, {"minsup": "10%", "k": 2, "seed": 3})
+    run_pipeline(config, chain_trace, tmp_path / "run")
+    alone = tmp_path / "alone"
+    stage_ingest(config, chain_trace, alone)
+    for stage in ("mine", "cluster", "periodic", "relations", "model"):
+        getattr(pipeline, f"stage_{stage}")(config, alone)
+    for name in ARTIFACTS.values():
+        assert (tmp_path / "run" / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_run_pipeline_reads_no_artifact(chain_trace, tmp_path, monkeypatch):
+    reads = []
+    read_json = pipeline._read_json
+
+    def counting(path):
+        reads.append(path.name)
+        return read_json(path)
+
+    monkeypatch.setattr(pipeline, "_read_json", counting)
+    config = build_config(None, {"minsup": "10%", "k": 2, "seed": 3})
+    run_pipeline(config, chain_trace, tmp_path / "run")
+    assert reads.count("patterns.json") == 0
+    assert reads == []
+    stage_cluster(config, tmp_path / "run")
+    assert reads == ["patterns.json"]
 
 
 def test_artifacts_are_compact_sorted_json(fixture_trace, tmp_path):
@@ -364,6 +401,62 @@ def test_cli_wrong_shape_model_exits_2(fixture_trace, built, capsys, edit, named
     assert run_cli("evaluate", str(fixture_trace), "--outdir", str(built)) == 2
     err = _one_line_error(capsys)
     assert "model.json" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "name, edit, command, named",
+    [
+        ("events.json", lambda doc: doc.update(sequences={}), "mine", "'sequences'"),
+        ("events.json", lambda doc: doc["sequences"][0].update(sid="0"), "mine", "'sid'"),
+        ("events.json", lambda doc: doc["sequences"][0]["events"][0].pop("start"), "mine", "'start'"),
+        ("events.json", lambda doc: doc["sequences"][0]["events"][0].update(coord=[1.0]), "mine", "'coord'"),
+        ("patterns.json", lambda doc: doc.update(patterns=None), "cluster", "'patterns'"),
+        ("patterns.json", lambda doc: doc["patterns"][0].update(seq=[1, 2]), "cluster", "'seq'"),
+        ("patterns.json", lambda doc: doc["patterns"][0].update(support="9"), "cluster", "'support'"),
+        ("patterns.json", lambda doc: doc["patterns"][0]["instances"][0].update(events=[]), "periodic", "no events"),
+        ("patterns.json", lambda doc: doc["patterns"][0]["instances"][0]["events"][0].pop("end"), "relations", "'end'"),
+        ("clusters.json", lambda doc: doc.update(clusters=None), "periodic", "'clusters'"),
+        ("clusters.json", lambda doc: doc["clusters"][0]["members"].append("p9999"), "relations", "'p9999'"),
+        ("clusters.json", lambda doc: doc["clusters"][0].pop("entries"), "periodic", "'entries'"),
+    ],
+)
+def test_cli_wrong_shape_artifact_exits_2(built, capsys, name, edit, command, named):
+    path = built / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, "--outdir", str(built)) == 2
+    err = _one_line_error(capsys)
+    assert name in err and named in err
+
+
+def test_cli_bad_timestamp_exits_2(built, capsys):
+    path = built / "events.json"
+    doc = json.loads(path.read_text())
+    doc["sequences"][0]["events"][0]["end"] = "noon"
+    path.write_text(json.dumps(doc))
+    assert run_cli("mine", "--outdir", str(built)) == 2
+    assert "'noon'" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "name, text, named",
+    [
+        ("periodic.json", "[]", "not an object"),
+        ("periodic.json", '{"patterns": {}}', "'patterns'"),
+        ("matrix.json", '{"patterns": []}', "'cells'"),
+        ("events.json", '{"sequences": 3}', "'sequences'"),
+    ],
+)
+def test_cli_model_from_wrong_shape_upstream_exits_2(
+    fixture_trace, built, capsys, name, text, named
+):
+    # without model.json, load_model builds the model from upstream artifacts
+    (built / "model.json").unlink()
+    (built / name).write_text(text)
+    assert run_cli("evaluate", str(fixture_trace), "--outdir", str(built)) == 2
+    err = _one_line_error(capsys)
+    assert name in err and named in err
 
 
 @pytest.mark.parametrize("doc", [[], "", 3])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_matrix
+from oracles import brute_force_matrix, matrix_cell
 
 from habitminer.errors import DataError
 from habitminer.relations import (
@@ -94,7 +94,7 @@ def test_matrix_half_transits():
         "b": [(0, 30, 40), (1, 25, 35)],
     }
     matrix = build_matrix(_refs(spec))
-    cell = matrix.cell_by_ids("a", "b")
+    cell = matrix_cell(matrix, "a", "b")
     assert cell.tran_pro == pytest.approx(0.5)
     assert cell.relations[R.BEFORE] == pytest.approx(0.5)
 
@@ -141,6 +141,44 @@ def test_matrix_brute_force_equivalence():
             assert got[key][1] == pytest.approx(rels)
 
 
+@st.composite
+def _grouped_instances(draw):
+    """(pattern id, instances) pairs that always hold an interval repeated
+    inside one pattern and sequence, instances of two patterns that start
+    together, a zero-length interval and instances in several sequences,
+    in a drawn order, so the repeats sit at any index."""
+    pool = draw(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 10)).map(lambda t: (t[0], t[0] + t[1])),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    start = pool[0][0]
+    pool.append((start, start))
+    spec = [
+        draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(pool)), max_size=8))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    spec[0] += [(0, pool[0]), (0, pool[0]), (1, pool[1])]
+    spec[1] += [(0, (start, start)), (1, pool[0]), (1, pool[0])]
+    return [
+        (f"p{p}", [InstanceRef(sid, s, e) for sid, (s, e) in draw(st.permutations(insts))])
+        for p, insts in enumerate(spec)
+    ]
+
+
+@given(_grouped_instances())
+@settings(max_examples=300, deadline=None)
+def test_matrix_equals_brute_force_exactly(refs):
+    matrix = build_matrix(refs)
+    got = {
+        (matrix.pattern_ids[i], matrix.pattern_ids[j]): (cell.tran_pro, cell.relations)
+        for (i, j), cell in matrix.cells.items()
+    }
+    assert got == brute_force_matrix(refs)
+
+
 def test_matrix_nested_activity_lands_in_swapped_cell():
     # dish washing happens strictly inside listening to music: the
     # containment is booked as washing-during-music even though only the
@@ -150,10 +188,10 @@ def test_matrix_nested_activity_lands_in_swapped_cell():
         "washing": [(0, 13 * 60 + 20, 13 * 60 + 40)],
     }
     matrix = build_matrix(_refs(spec))
-    cell = matrix.cell_by_ids("washing", "music")
+    cell = matrix_cell(matrix, "washing", "music")
     assert cell.tran_pro == pytest.approx(1.0)
     assert cell.relations[R.DURING] == pytest.approx(1.0)
-    assert matrix.cell_by_ids("music", "washing").tran_pro == 0.0
+    assert matrix_cell(matrix, "music", "washing").tran_pro == 0.0
 
 
 def test_matrix_counts_each_source_instance_once():
@@ -163,7 +201,7 @@ def test_matrix_counts_each_source_instance_once():
         "b": [(0, 20, 30), (0, 40, 50)],
     }
     matrix = build_matrix(_refs(spec))
-    cell = matrix.cell_by_ids("a", "b")
+    cell = matrix_cell(matrix, "a", "b")
     assert cell.tran_pro == pytest.approx(1.0)
     assert cell.relations[R.BEFORE] == pytest.approx(1.0)
 
@@ -171,7 +209,7 @@ def test_matrix_counts_each_source_instance_once():
 def test_matrix_requires_same_sequence():
     spec = {"a": [(0, 0, 10)], "b": [(1, 20, 30)]}
     matrix = build_matrix(_refs(spec))
-    assert matrix.cell_by_ids("a", "b").tran_pro == 0.0
+    assert matrix_cell(matrix, "a", "b").tran_pro == 0.0
 
 
 def test_matrix_duplicate_ids_rejected():
@@ -184,5 +222,5 @@ def test_matrix_top_relation():
         "a": [(0, 0, 10), (1, 0, 10), (2, 0, 10)],
         "b": [(0, 20, 30), (1, 5, 30), (2, 50, 60)],
     }
-    cell = build_matrix(_refs(spec)).cell_by_ids("a", "b")
+    cell = matrix_cell(build_matrix(_refs(spec)), "a", "b")
     assert cell.top_relation == R.BEFORE

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from conftest import planted_chain, planted_household
+from oracles import matrix_cell
 
 from habitminer.errors import SpecValidationError
 from habitminer.events import parse_interval
@@ -122,7 +123,7 @@ def test_generate_link_recovers_in_matrix():
     for t in truth:
         refs[t.label].append(InstanceRef(t.day, t.start, t.end))
     matrix = build_matrix(sorted(refs.items()))
-    cell = matrix.cell_by_ids("cook", "dishes")
+    cell = matrix_cell(matrix, "cook", "dishes")
     assert cell.tran_pro == pytest.approx(1.0)
     assert cell.relations[AllenRelation.BEFORE] == pytest.approx(1.0)
 
