@@ -414,7 +414,7 @@ def stage_periodic(config: PipelineConfig, outdir, docs=None) -> dict:
 def stage_relations(config: PipelineConfig, outdir, docs=None) -> dict:
     if docs is None:
         cluster_instances = _cluster_instances(outdir)
-    else:
+    else:  # resolved by stage_periodic
         cluster_instances = docs.pop("cluster_instances")
     pattern_instances = []
     for cl, instances in cluster_instances:
