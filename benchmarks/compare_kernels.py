@@ -1,21 +1,11 @@
-#!/usr/bin/env python3
-"""Benchmark the compiled mining kernel against the pure-Python fallback.
+"""The synthetic household whose activity specs the benchmark replays.
 
-Generates a synthetic multi-day trace, encodes it once, then runs both
-kernels on identical inputs across a range of support thresholds. Outputs
-are checked for equality before speedups are reported.
-
-Usage: python benchmarks/compare_kernels.py [--days N] [--repeats R]
+`household()` is the spec list of the `household-600d` workload:
+`pipebench/workloads.py` imports it from this file, and `pipebench/run.py`
+checks that this file exists before it runs.
 """
 
-import argparse
-import math
-import time
-
-from habitminer.events import partition_by_region
-from habitminer.mining import encode_database, mine_sequences_py
-from habitminer.mining._kernel import KERNEL_NAME, mine_sequences
-from habitminer.synth import ActivitySpec, generate
+from habitminer.synth import ActivitySpec
 
 
 def household(days_hint):
@@ -35,55 +25,3 @@ def household(days_hint):
                          daily_probability=0.95)
         )
     return specs
-
-
-def bench(fn, args, repeats):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--days", type=int, default=150)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    if KERNEL_NAME != "compiled":
-        print("note: compiled kernel unavailable; timing the fallback against itself")
-
-    db, _ = generate(household(args.days), args.days, seed=args.seed)
-    regions = partition_by_region(db)
-    print(f"workload: {args.days} days, {db.event_count} events, "
-          f"{len(regions)} regions\n")
-    print(f"{'minsup':>8} {'patterns':>9} {'compiled':>10} {'pure':>10} {'speedup':>8}")
-
-    for pct in (5, 8, 12):
-        total_c = total_p = 0.0
-        n_patterns = 0
-        for region in sorted(regions):
-            sub = regions[region]
-            encoded, services = encode_database(sub)
-            minsup = max(1, math.ceil(pct / 100 * len(sub)))
-            shared = (encoded, 2 * len(services), minsup, 20)
-            t_c, out_c = bench(mine_sequences, shared, args.repeats)
-            t_p, out_p = bench(mine_sequences_py, shared, args.repeats)
-            if out_c != out_p:
-                raise SystemExit(f"kernel outputs differ in region {region!r}")
-            total_c += t_c
-            total_p += t_p
-            n_patterns += len(out_c)
-        speedup = total_p / total_c if total_c else float("inf")
-        print(f"{pct:>7}% {n_patterns:>9} {total_c*1000:>8.1f}ms "
-              f"{total_p*1000:>8.1f}ms {speedup:>7.1f}x")
-
-    print("\noutputs identical across kernels for every configuration")
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import build_config
+from .config import build_config, parse_y_weights
 from .errors import ConfigError, DataError, HabitMinerError, InternalError
 from .synth import format_trace, generate, load_activity_specs, truth_as_dicts
 
@@ -58,10 +58,7 @@ def _add_common(parser):
 def _resolved_config(args):
     overrides = {name: getattr(args, name) for name, _, _ in _CONFIG_FLAGS}
     if overrides.get("y_weights") is not None:
-        parts = [p for p in overrides["y_weights"].replace(",", " ").split() if p]
-        if len(parts) != 3:
-            raise ConfigError("y_weights needs three numbers")
-        overrides["y_weights"] = tuple(float(p) for p in parts)
+        overrides["y_weights"] = parse_y_weights(overrides["y_weights"])
     return build_config(args.config, overrides)
 
 
@@ -105,6 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads `--flag=--` as []; no flag takes a list
+            raise ConfigError(f"--{name.replace('_', '-')} needs a value")
     config = _resolved_config(args)
     outdir = args.outdir
     if args.command == "ingest":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union
 
@@ -30,6 +31,9 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         _parse_minsup(self.minsup)
+        for name in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not math.isclose(self.w1 + self.w2, 1.0, abs_tol=1e-9):
             raise ConfigError(f"w1 + w2 must equal 1, got {self.w1} + {self.w2}")
         if self.w1 < 0 or self.w2 < 0:
@@ -43,14 +47,16 @@ class PipelineConfig:
             raise ConfigError("involvement must lie in [0, 1]")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
-        if self.window <= 0:
-            raise ConfigError("window must be positive")
+        if not 0 < self.window < _MAX_MINUTES:
+            raise ConfigError(f"window must be positive and below {_MAX_MINUTES:.3g}")
         if self.max_len < 2:
             raise ConfigError("max_len must be at least 2")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if len(self.y_weights) != 3 or any(w < 0 for w in self.y_weights):
-            raise ConfigError("y_weights must be three nonnegative numbers")
+        if len(self.y_weights) != 3 or not all(
+            math.isfinite(w) and w >= 0 for w in self.y_weights
+        ):
+            raise ConfigError("y_weights must be three finite nonnegative numbers")
         self.segment_policy()
         return self
 
@@ -68,8 +74,8 @@ class PipelineConfig:
                 minutes = float(self.segment.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad segment spec {self.segment!r}") from None
-            if minutes < 0:
-                raise ConfigError("by_gap minutes must be nonnegative")
+            if not 0 <= minutes < _MAX_MINUTES:
+                raise ConfigError(f"by_gap minutes must lie in [0, {_MAX_MINUTES:.3g})")
             return "by_gap", int(minutes * 60)
         raise ConfigError(f"unknown segmentation policy {self.segment!r}")
 
@@ -79,6 +85,17 @@ class PipelineConfig:
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
+
+
+def parse_y_weights(raw: str) -> Tuple[float, float, float]:
+    """Three recognition weights separated by commas or spaces."""
+    parts = [p for p in raw.replace(",", " ").split() if p]
+    if len(parts) != 3:
+        raise ConfigError(f"y_weights needs three numbers, got {raw!r}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"y_weights needs three numbers, got {raw!r}") from None
 
 
 def _parse_minsup(raw) -> Tuple[str, float]:
@@ -99,6 +116,9 @@ def _parse_minsup(raw) -> Tuple[str, float]:
     return "absolute", float(value)
 
 
+# a length in minutes is turned into whole seconds; above this it overflows
+_MAX_MINUTES = sys.float_info.max / 60
+
 _INT_KEYS = {"k", "seed", "max_len"}
 _FLOAT_KEYS = {"minsig", "minpro", "w1", "w2", "zeta", "min_p", "window",
                "epsilon", "involvement"}
@@ -109,10 +129,7 @@ def _coerce(key: str, raw: str):
     if key == "minsup":
         return raw if raw.endswith("%") else int(raw)
     if key == "y_weights":
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        if len(parts) != 3:
-            raise ConfigError(f"y_weights needs three numbers, got {raw!r}")
-        return tuple(float(p) for p in parts)
+        return parse_y_weights(raw)
     if key in _INT_KEYS:
         return int(raw)
     if key in _FLOAT_KEYS:
@@ -125,8 +142,12 @@ def _coerce(key: str, raw: str):
 def read_config_file(path) -> dict:
     """Parse `key = value` lines; # starts a comment."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

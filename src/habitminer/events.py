@@ -20,7 +20,13 @@ _EPOCH = datetime(1970, 1, 1)
 
 
 def to_timestamp(dt: datetime) -> int:
-    """Naive datetime -> integer epoch seconds (no timezone applied)."""
+    """Naive datetime -> integer epoch seconds (no timezone applied).
+
+    Raises ValueError for a datetime with a UTC offset: stamps are local
+    times, and an offset cannot be applied to the others.
+    """
+    if dt.tzinfo is not None:
+        raise ValueError(f"{dt.isoformat()} carries a UTC offset")
     return int((dt - _EPOCH).total_seconds())
 
 

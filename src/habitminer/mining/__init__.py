@@ -15,8 +15,10 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, InternalError
 from ..events import EndpointSymbol, EventDatabase, ServiceEvent
-from ._kernel import KERNEL_NAME, mine_sequences
-from ._growth_py import mine_sequences as mine_sequences_py
+from ._growth_py import mine_sequences
+
+# the name of the one mining kernel; the pipeline benchmark prints it
+KERNEL_NAME = "python"
 
 DEFAULT_MAX_PATTERN_LEN = 20
 
@@ -81,7 +83,7 @@ def leftmost_match(haystack: Sequence, needle: Sequence) -> Optional[list]:
 
 
 def encode_database(db: EventDatabase):
-    """Integer-encode endpoint sequences for the kernels.
+    """Integer-encode endpoint sequences for the kernel.
 
     Returns (encoded sequences, service list); code = 2 * index + is_end.
     """
@@ -108,7 +110,6 @@ def mine(
     minsup: int,
     max_len: int = DEFAULT_MAX_PATTERN_LEN,
     region: Optional[str] = None,
-    kernel=None,
 ) -> list:
     """All well-formed endpoint patterns with support >= minsup.
 
@@ -121,9 +122,8 @@ def mine(
         raise ConfigError(f"max pattern length must be >= 2, got {max_len}")
     if region is None:
         region = _infer_region(db)
-    run = kernel or mine_sequences
     encoded, services = encode_database(db)
-    raw = run(encoded, 2 * len(services), minsup, max_len)
+    raw = mine_sequences(encoded, minsup, max_len)
 
     # per sequence, the event behind each endpoint position
     event_at = [
@@ -167,6 +167,5 @@ __all__ = [
     "leftmost_match",
     "mine",
     "mine_sequences",
-    "mine_sequences_py",
     "DEFAULT_MAX_PATTERN_LEN",
 ]

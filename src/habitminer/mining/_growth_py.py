@@ -21,9 +21,6 @@ whose suffix lacks one supports no reported descendant, and a prefix with
 fewer than minsup such entries has none. Only subtrees that report nothing
 are cut, so the reported patterns, their supporting sequences and the
 order in which they are found stay the same.
-
-The compiled twin in _growth_cy.pyx searches without this pruning and
-must return bit-identical results.
 """
 
 from __future__ import annotations
@@ -32,12 +29,11 @@ from collections import Counter
 from itertools import chain
 
 
-def mine_sequences(seqs, n_codes, minsup, max_len):
+def mine_sequences(seqs, minsup, max_len):
     """Grow frequent closed endpoint patterns over encoded sequences.
 
     Returns a dict mapping each pattern (tuple of codes) to the ascending
-    list of indices of the sequences that contain it. n_codes is accepted
-    for signature parity with the compiled kernel.
+    list of indices of the sequences that contain it.
     """
     results = {}
     # tables[si][pos]: code -> first index >= pos in seqs[si]

@@ -102,17 +102,22 @@ def _unixtime(text: str) -> int:
         raise DataError(f"{text!r} is not an ISO timestamp") from None
 
 
+def _parse_log(path, fmt: str, diag=None) -> list:
+    """The events of a log file; a file that is not UTF-8 text is a DataError."""
+    if fmt not in ("interval", "casas"):
+        raise ConfigError(f"unknown input format {fmt!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_casas(fh, diag) if fmt == "casas" else parse_interval(fh, diag)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def stage_ingest(
     config: PipelineConfig, input_path, outdir, fmt: str = "interval", docs=None
 ) -> dict:
     diag = ParseDiagnostics()
-    with open(input_path) as fh:
-        if fmt == "casas":
-            events = parse_casas(fh, diag)
-        elif fmt == "interval":
-            events = parse_interval(fh, diag)
-        else:
-            raise ConfigError(f"unknown input format {fmt!r}")
+    events = _parse_log(input_path, fmt, diag)
     policy, max_gap = config.segment_policy()
     db = segment(events, policy, max_gap)
     doc = {
@@ -612,14 +617,15 @@ def run_pipeline(config: PipelineConfig, input_path, outdir, fmt: str = "interva
             artifact = Path(outdir) / ARTIFACTS[stage]
             if artifact.exists():
                 artifact.unlink()
-            raise type(exc)(f"stage {stage}: {exc}") from exc
+            # prefix the stage in place, so the error keeps its type and fields
+            exc.args = (f"stage {stage}: {exc}",)
+            raise
     return {"config": config.as_dict(), "stages": reports}
 
 
 def predict_from_file(model: PredictionModel, observation_path) -> dict:
     """Recognize an observation file (interval format) and predict the next step."""
-    with open(observation_path) as fh:
-        events = parse_interval(fh)
+    events = _parse_log(observation_path, "interval")
     if not events:
         raise DataError(f"no events in {observation_path}")
     now = max(ev.end_time for ev in events)
@@ -675,8 +681,7 @@ def load_wait_table(path) -> WaitTable:
 def evaluate_trace(
     config: PipelineConfig, model: PredictionModel, trace_path, fmt: str = "interval"
 ) -> dict:
-    with open(trace_path) as fh:
-        events = parse_casas(fh) if fmt == "casas" else parse_interval(fh)
+    events = _parse_log(trace_path, fmt)
     policy, max_gap = config.segment_policy()
     trace = segment(events, policy, max_gap)
     waits = load_wait_table(config.waits)

@@ -80,6 +80,8 @@ def test_parse_casas_malformed_line():
     assert "line 1" in str(err.value)
     with pytest.raises(ParseError):
         parse_casas(["2008-02-21 11:45:35 M14 OPEN"])
+    with pytest.raises(ParseError):  # stamps are local times: no UTC offset
+        parse_casas(["2008-02-21 11:45:35+01:00 M14 ON"])
 
 
 def test_parse_casas_deterministic():
@@ -129,6 +131,8 @@ def test_parse_interval_malformed():
         parse_interval(["only,three,fields"])
     with pytest.raises(ParseError):
         parse_interval(["a,8:00,9:00,hall,x,y"])
+    with pytest.raises(ParseError):
+        parse_interval(["a,2024-01-02T08:00:00+05:00,2024-01-02T09:00:00,hall"])
 
 
 def test_segment_by_day():

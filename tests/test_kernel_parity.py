@@ -1,29 +1,11 @@
-"""The compiled and pure kernels must agree bit for bit."""
+"""The mining kernel against the brute-force oracle, and the hook around it."""
 
 import random
 
-import pytest
-
 from oracles import random_database, wellformed_subsequences
 
-from habitminer.mining import encode_database, mine_sequences, mine_sequences_py
-from habitminer.mining._kernel import KERNEL_NAME
-
-
-@pytest.mark.skipif(KERNEL_NAME != "compiled", reason="compiled kernel not built")
-def test_kernels_agree_on_random_databases():
-    rng = random.Random(20240601)
-    for _ in range(120):
-        db = random_database(rng)
-        encoded, _ = encode_database(db)
-        minsup = rng.randint(1, 3)
-        max_len = rng.choice([6, 12, 24])
-        assert mine_sequences(encoded, _codes(encoded), minsup, max_len) == \
-            mine_sequences_py(encoded, _codes(encoded), minsup, max_len)
-
-
-def _codes(encoded):
-    return max((c for seq in encoded for c in seq), default=-1) + 1
+import habitminer.mining as mining
+from habitminer.mining import encode_database, mine, mine_sequences
 
 
 def test_pure_kernel_matches_oracle_under_length_cut():
@@ -41,15 +23,26 @@ def test_pure_kernel_matches_oracle_under_length_cut():
                 if len(p) <= max_len:
                     expected.setdefault(p, []).append(si)
         expected = {p: sids for p, sids in expected.items() if len(sids) >= minsup}
-        assert mine_sequences_py(encoded, _codes(encoded), minsup, max_len) == expected
+        assert mine_sequences(encoded, minsup, max_len) == expected
 
 
 def test_pure_kernel_empty_inputs():
-    assert mine_sequences_py([], 0, 1, 20) == {}
-    assert mine_sequences_py([[], []], 0, 1, 20) == {}
+    assert mine_sequences([], 1, 20) == {}
+    assert mine_sequences([[], []], 1, 20) == {}
 
 
-@pytest.mark.skipif(KERNEL_NAME != "compiled", reason="compiled kernel not built")
-def test_compiled_kernel_empty_inputs():
-    assert mine_sequences([], 0, 1, 20) == {}
-    assert mine_sequences([[], []], 0, 1, 20) == {}
+def test_mine_calls_kernel_through_module_name(monkeypatch):
+    # the pipeline benchmark times the kernel by replacing this module
+    # global; mine() must look the name up on every call
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mine_sequences(*args)
+
+    monkeypatch.setattr(mining, "mine_sequences", counting)
+    db = random_database(random.Random(7))
+    for expected_calls in (1, 2):
+        mine(db, 1)
+        assert len(calls) == expected_calls
+    assert mining.KERNEL_NAME == "python"

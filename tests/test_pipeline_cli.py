@@ -11,7 +11,7 @@ from conftest import build_running_example, planted_chain, planted_household
 from habitminer import pipeline
 from habitminer.cli import main
 from habitminer.config import PipelineConfig, build_config, read_config_file
-from habitminer.errors import ConfigError
+from habitminer.errors import ConfigError, ParseError
 from habitminer.events import partition_by_region
 from habitminer.mining import mine
 from habitminer.pipeline import (
@@ -50,14 +50,23 @@ def test_config_defaults_and_validation():
     assert config.k == 9
     assert config.zeta == 120
     assert config.min_p == 0.25
-    with pytest.raises(ConfigError):
-        build_config(None, {"w1": 0.5, "w2": 0.9})
-    with pytest.raises(ConfigError):
-        build_config(None, {"minsup": "150%"})
-    with pytest.raises(ConfigError):
-        build_config(None, {"minsup": 0})
-    with pytest.raises(ConfigError):
-        build_config(None, {"segment": "hourly"})
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"w1": 0.5, "w2": 0.9},
+        {"minsup": "150%"},
+        {"minsup": 0},
+        {"segment": "hourly"},
+        {"window": nan},
+        {"window": 1e308},  # overflows when turned into seconds
+        {"zeta": nan},
+        {"minsig": nan},
+        {"epsilon": inf},
+        {"y_weights": (nan, 1.0, 1.0)},
+        {"segment": "by_gap:nan"},
+        {"segment": "by_gap:1e308"},
+    ):
+        with pytest.raises(ConfigError):
+            build_config(None, bad)
 
 
 def test_config_minsup_resolution():
@@ -338,19 +347,40 @@ def test_cli_simulate(tmp_path, capsys):
                    str(outdir / "artifacts"), "--minsup", "2", "--k", "1") == 0
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(fixture_trace, tmp_path, capsys):
     assert run_cli("mine", "--outdir", str(tmp_path), "--minsup", "0") == 1
     assert run_cli("predict", str(tmp_path / "missing.csv"), "--outdir", str(tmp_path)) in (1, 2)
     with pytest.raises(SystemExit) as err:
         run_cli("not-a-command")
     assert err.value.code == 1
     capsys.readouterr()
+    for flag in ("--window=nan", "--zeta=nan", "--minsig=nan", "--epsilon=inf",
+                 "--y-weights=nan,1,1", "--y-weights=1,a,1", "--y-weights=--", "--zeta=--"):
+        assert run_cli("evaluate", str(fixture_trace), "--outdir", str(tmp_path), flag) == 1
+        name = flag[2:].split("=")[0]
+        assert name.replace("-", "_") in _one_line_error(capsys).replace("-", "_")
 
 
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("interval", "fridge,notatime,08:10,kitchen\n"),
+     ("casas", "fridge,08:00,08:10,kitchen\n")],
+)
+def test_cli_run_bad_log_line_exits_2(tmp_path, capsys, fmt, text):
+    log = tmp_path / "log.csv"
+    log.write_text(text)
+    outdir = tmp_path / "artifacts"
+    assert run_cli("run", str(log), "--format", fmt, "--outdir", str(outdir)) == 2
+    assert "stage ingest: line 1" in _one_line_error(capsys)
+    with pytest.raises(ParseError) as err:  # the prefix keeps the error's fields
+        run_pipeline(PipelineConfig(), log, outdir, fmt)
+    assert err.value.lineno == 1
 
 
 @pytest.fixture()
@@ -371,6 +401,24 @@ def test_cli_undecodable_artifact_exits_2(built, capsys):
     (built / "patterns.json").write_bytes(b"\xff\xfe{}")
     assert run_cli("cluster", "--outdir", str(built)) == 2
     assert "patterns.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("run", 2), ("evaluate", 2), ("predict", 2), ("config", 1)],
+)
+def test_cli_non_utf8_input(fixture_trace, built, tmp_path, capsys, command, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"fridge,08:00,08:10,kitchen\n\xff\xfe\n")
+    argv = {
+        "run": ["run", str(bad), "--outdir", str(tmp_path / "fresh")],
+        "evaluate": ["evaluate", str(bad), "--outdir", str(built)],
+        "predict": ["predict", str(bad), "--outdir", str(built)],
+        "config": ["evaluate", str(fixture_trace), "--outdir", str(built),
+                   "--config", str(bad)],
+    }[command]
+    assert run_cli(*argv) == code
+    assert "bad.txt is not UTF-8 text" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize(
@@ -433,10 +481,11 @@ def test_cli_wrong_shape_artifact_exits_2(built, capsys, name, edit, command, na
 def test_cli_bad_timestamp_exits_2(built, capsys):
     path = built / "events.json"
     doc = json.loads(path.read_text())
-    doc["sequences"][0]["events"][0]["end"] = "noon"
-    path.write_text(json.dumps(doc))
-    assert run_cli("mine", "--outdir", str(built)) == 2
-    assert "'noon'" in _one_line_error(capsys)
+    for stamp in ("noon", "2024-01-02T08:00:00+05:00"):
+        doc["sequences"][0]["events"][0]["end"] = stamp
+        path.write_text(json.dumps(doc))
+        assert run_cli("mine", "--outdir", str(built)) == 2
+        assert repr(stamp) in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize(
