@@ -32,8 +32,9 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         _parse_minsup(self.minsup)
         for name in sorted(_FLOAT_KEYS):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not math.isclose(self.w1 + self.w2, 1.0, abs_tol=1e-9):
             raise ConfigError(f"w1 + w2 must equal 1, got {self.w1} + {self.w2}")
         if self.w1 < 0 or self.w2 < 0:
@@ -89,13 +90,13 @@ class PipelineConfig:
 
 def parse_y_weights(raw: str) -> Tuple[float, float, float]:
     """Three recognition weights separated by commas or spaces."""
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"y_weights needs three numbers, got {raw!r}")
     try:
-        return tuple(float(p) for p in parts)
+        weights = tuple(float(p) for p in raw.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"y_weights needs three numbers, got {raw!r}") from None
+        weights = ()
+    if len(weights) != 3:
+        raise ConfigError(f"y_weights needs three numbers, got {raw!r}")
+    return weights
 
 
 def _parse_minsup(raw) -> Tuple[str, float]:
