@@ -19,7 +19,7 @@ from .synth import format_trace, generate, load_activity_specs, truth_as_dicts
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, as every other bad input ends; --help prints the usage
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -143,23 +143,25 @@ def _coerce(key: str, raw: str):
 def read_config_file(path) -> dict:
     """Parse `key = value` lines; # starts a comment."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                values[key] = _coerce(key, value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        try:
+            values[key] = _coerce(key, value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}") from None
     return values
 
 

@@ -3,17 +3,20 @@
 Patterns are interleaved start/end symbol sequences grown one endpoint at
 a time via projected databases; only well-formed patterns (every start
 closed by a later end of the same service) are reported, each with its
-support and the leftmost matching instance per supporting sequence.
+support and, per supporting sequence, the start positions of its leftmost
+embedding as the kernel found them. Instances are built from those
+positions only where they are read.
 """
 
 from __future__ import annotations
 
 import gc
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..errors import ConfigError, InternalError
+from ..errors import ConfigError
 from ..events import EndpointSymbol, EventDatabase, ServiceEvent
 from ._growth_py import mine_sequences
 
@@ -25,25 +28,58 @@ DEFAULT_MAX_PATTERN_LEN = 20
 
 @dataclass(frozen=True)
 class PatternInstance:
-    """The leftmost match of a pattern inside one sequence."""
+    """The leftmost match of a pattern inside one sequence: the events of
+    its start endpoints, in pattern order."""
 
     sid: int
     events: Tuple[ServiceEvent, ...]
 
-    @property
-    def interval(self) -> Tuple[int, int]:
-        return (
-            min(ev.start_time for ev in self.events),
-            max(ev.end_time for ev in self.events),
-        )
 
-    @property
-    def region(self) -> str:
-        # majority region over the matched events, ties lexicographic
-        tally: dict = {}
-        for ev in self.events:
-            tally[ev.region] = tally.get(ev.region, 0) + 1
-        return min(tally, key=lambda r: (-tally[r], r))
+class Embeddings(SequenceABC):
+    """A mined pattern's instances, held as the kernel hands them over.
+
+    `pairs` holds one (sequence index, start positions) pair per supporting
+    sequence, as `mine_sequences` returns them. The other fields are shared
+    by every pattern mined from one database, one list per sequence:
+    `sids` its sid, and `event_at`, `start_at` and `end_at` the event behind
+    each endpoint position and that event's start and end time. Scoring
+    reads the times; a PatternInstance is built only when the sequence is
+    read, anew on each read.
+    """
+
+    __slots__ = ("pairs", "sids", "event_at", "start_at", "end_at")
+
+    def __init__(self, pairs, sids, event_at, start_at, end_at):
+        self.pairs = pairs
+        self.sids = sids
+        self.event_at = event_at
+        self.start_at = start_at
+        self.end_at = end_at
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def _instance(self, si, starts) -> PatternInstance:
+        events = self.event_at[si]
+        return PatternInstance(self.sids[si], tuple([events[p] for p in starts]))
+
+    def __getitem__(self, index) -> PatternInstance:
+        return self._instance(*self.pairs[index])
+
+    def __iter__(self):
+        for si, starts in self.pairs:
+            yield self._instance(si, starts)
+
+    def spans(self) -> list:
+        """Per instance, (sid, earliest start, latest end) of its events."""
+        return [
+            (
+                self.sids[si],
+                min([self.start_at[si][p] for p in starts]),
+                max([self.end_at[si][p] for p in starts]),
+            )
+            for si, starts in self.pairs
+        ]
 
 
 @dataclass(frozen=True)
@@ -51,7 +87,8 @@ class CompositionPattern:
     seq: Tuple[EndpointSymbol, ...]
     support: int
     region: Optional[str]
-    instances: Tuple[PatternInstance, ...]
+    # a tuple, or the Embeddings of a mined pattern
+    instances: Sequence[PatternInstance]
 
     @cached_property
     def event_types(self) -> frozenset:
@@ -63,23 +100,6 @@ class CompositionPattern:
 
     def __str__(self) -> str:
         return "<" + " ".join(self.tokens) + f">:{self.support}"
-
-
-def leftmost_match(haystack: Sequence, needle: Sequence) -> Optional[list]:
-    """Positions of the leftmost order-preserving embedding, or None.
-
-    haystack is a list or tuple (anything with `index(value, start)`)."""
-    positions = []
-    find = haystack.index
-    i = 0
-    try:
-        for sym in needle:
-            i = find(sym, i)
-            positions.append(i)
-            i += 1
-    except ValueError:
-        return None
-    return positions
 
 
 def encode_database(db: EventDatabase):
@@ -113,8 +133,9 @@ def mine(
 ) -> list:
     """All well-formed endpoint patterns with support >= minsup.
 
-    Output is canonically sorted (length, then symbols) and carries, per
-    pattern, the leftmost matching instance of every supporting sequence.
+    Output is canonically sorted (length, then symbols). Each pattern's
+    instances are the Embeddings the kernel returned: the leftmost match in
+    every supporting sequence, built when read.
     """
     if minsup < 1:
         raise ConfigError(f"minsup must be >= 1, got {minsup}")
@@ -123,48 +144,40 @@ def mine(
     if region is None:
         region = _infer_region(db)
     encoded, services = encode_database(db)
-    raw = mine_sequences(encoded, minsup, max_len)
-
-    # per sequence, the event behind each endpoint position
+    sids = [seq.sid for seq in db.sequences]
     event_at = [
         [seq.events[ep.event_index] for ep in seq.endpoints] for seq in db.sequences
     ]
-    sids = [seq.sid for seq in db.sequences]
-    patterns = []
-    # The loop keeps every object it makes and makes no reference cycles,
-    # so cyclic collections during it only rescan a growing heap (about 40%
-    # of the loop's time on the 150-day dense-kitchen benchmark log). They
-    # are paused for the loop.
+    start_at = [[ev.start_time for ev in events] for events in event_at]
+    end_at = [[ev.end_time for ev in events] for events in event_at]
+    # The kernel and the loop keep nearly every container they make, so
+    # cyclic collections during them only rescan a growing heap (a sixth of
+    # the kernel's time on the dense-kitchen benchmark log, a quarter on
+    # the 600-day household). They are paused for both.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for codes in sorted(raw, key=lambda p: (len(p), p)):
-            symbols = decode_pattern(codes, services)
-            starts = [k for k, code in enumerate(codes) if not code & 1]
-            instances = []
-            for si in raw[codes]:
-                positions = leftmost_match(encoded[si], codes)
-                if positions is None:  # kernel and matcher disagree: a bug
-                    raise InternalError(f"lost match for {symbols} in sid {sids[si]}")
-                events = event_at[si]
-                matched = tuple([events[positions[k]] for k in starts])
-                instances.append(PatternInstance(sids[si], matched))
-            patterns.append(
-                CompositionPattern(symbols, len(instances), region, tuple(instances))
+        raw = mine_sequences(encoded, minsup, max_len)
+        return [
+            CompositionPattern(
+                decode_pattern(codes, services),
+                len(raw[codes]),
+                region,
+                Embeddings(raw[codes], sids, event_at, start_at, end_at),
             )
+            for codes in sorted(raw, key=lambda p: (len(p), p))
+        ]
     finally:
         if collecting:
             gc.enable()
-    return patterns
 
 
 __all__ = [
     "KERNEL_NAME",
     "CompositionPattern",
+    "Embeddings",
     "PatternInstance",
-    "decode_pattern",
     "encode_database",
-    "leftmost_match",
     "mine",
     "mine_sequences",
     "DEFAULT_MAX_PATTERN_LEN",

@@ -77,18 +77,18 @@ def _load_artifact(outdir, stage: str) -> dict:
     return _read_json(path)
 
 
-def _take(outdir, stage: str, docs, keep: bool = False):
+def _take(outdir, stage: str, docs):
     """The document of `stage`, and the file it was read from or None.
 
     Inside run_pipeline, `docs` holds the documents earlier stages wrote;
-    the document is taken from there and dropped unless `keep` says a
-    later stage reads it too. This process built it, so the file is None
-    and its shape is not checked again. A stage run alone (docs is None)
-    reads the artifact, whose shape the caller checks.
+    the document is taken from there and dropped, as its last reader takes
+    it. This process built it, so the file is None and its shape is not
+    checked again. A stage run alone (docs is None) reads the artifact,
+    whose shape the caller checks.
     """
     if docs is None:
         return _load_artifact(outdir, stage), str(Path(outdir) / ARTIFACTS[stage])
-    return (docs[stage] if keep else docs.pop(stage)), None
+    return docs.pop(stage), None
 
 
 def _iso(ts: int) -> str:
@@ -190,8 +190,10 @@ def _load_database(outdir) -> EventDatabase:
     return EventDatabase(tuple(sequences))
 
 
-def stage_mine(config: PipelineConfig, outdir, docs=None) -> dict:
-    db = _load_database(outdir) if docs is None else docs.pop("database")
+def _kept_patterns(config: PipelineConfig, db: EventDatabase):
+    """The patterns each region of `db` gives that pass both quality
+    thresholds, as (pattern, score) pairs sorted by region, length and
+    tokens; the filter's counts; and each region's resolved minsup."""
     by_region = partition_by_region(db)
     table = EventProbabilityTable.from_database(db) if by_region else None
     counts = {"mined": 0, "significant": 0, "proximate": 0, "kept": 0}
@@ -201,7 +203,11 @@ def stage_mine(config: PipelineConfig, outdir, docs=None) -> dict:
         sub = by_region[region]
         minsup = config.resolve_minsup(len(sub))
         minsup_resolved[region] = minsup
-        for pattern in mine(sub, minsup, max_len=config.max_len, region=region):
+        patterns = mine(sub, minsup, max_len=config.max_len, region=region)
+        # taken off the list one by one, so that the embeddings of a pattern
+        # that is not kept are freed once it is scored; `kept` is sorted below
+        while patterns:
+            pattern = patterns.pop()
             score = score_pattern(
                 pattern, table, config.w1, config.w2, config.epsilon,
                 config.minsig, config.minpro,
@@ -214,8 +220,15 @@ def stage_mine(config: PipelineConfig, outdir, docs=None) -> dict:
             if sig_ok and pro_ok:
                 counts["kept"] += 1
                 kept.append((pattern, score))
-
     kept.sort(key=lambda ps: (ps[0].region, len(ps[0].seq), ps[0].tokens))
+    return kept, counts, minsup_resolved
+
+
+def stage_mine(config: PipelineConfig, outdir, docs=None) -> dict:
+    db = _load_database(outdir) if docs is None else docs.pop("database")
+    # the region databases, and the endpoint lists mining cached on them,
+    # are dropped before the document is built
+    kept, counts, minsup_resolved = _kept_patterns(config, db)
     # instances share their events' stamps: convert each distinct one once
     stamps = {t for s in db.sequences for ev in s.events for t in (ev.start_time, ev.end_time)}
     iso = {ts: _iso(ts) for ts in stamps}
@@ -257,6 +270,15 @@ def stage_mine(config: PipelineConfig, outdir, docs=None) -> dict:
     _write_json(Path(outdir) / ARTIFACTS["mine"], doc)
     if docs is not None:
         docs["mine"] = doc
+        # what _instance_spans reads back from patterns.json, taken from the
+        # kept patterns' embeddings once the document is written
+        docs["instance_spans"] = {
+            rec["id"]: [
+                (sid, start, end, pattern.region)
+                for sid, start, end in pattern.instances.spans()
+            ]
+            for rec, (pattern, _) in zip(doc["patterns"], kept)
+        }
         # stage_model's vocabulary, which it would read from events.json
         docs["vocabulary"] = doc["vocabulary"]
     return {"stage": "mine", "counts": counts, "minsup_resolved": minsup_resolved}
@@ -289,7 +311,7 @@ def _patterns_from_artifact(doc, where=None) -> list:
 
 
 def stage_cluster(config: PipelineConfig, outdir, docs=None) -> dict:
-    pairs = _patterns_from_artifact(*_take(outdir, "mine", docs, keep=True))
+    pairs = _patterns_from_artifact(*_take(outdir, "mine", docs))
     clusters_doc = []
     if pairs:
         if config.k > len(pairs):
@@ -317,7 +339,7 @@ def stage_cluster(config: PipelineConfig, outdir, docs=None) -> dict:
 
 
 def _check_instances(doc, where: str):
-    """The shape of patterns.json as _cluster_instances reads it."""
+    """The shape of patterns.json as _instance_spans reads it."""
     for n, rec in enumerate(_field(doc, "patterns", list, where)):
         at = f"{where} pattern {n}"
         _field(rec, "id", str, at)
@@ -333,7 +355,7 @@ def _check_instances(doc, where: str):
 
 def _check_clusters(doc, where: str, patterns: dict):
     """The shape of clusters.json as _cluster_instances and its callers
-    read it; every member must be a pattern of `patterns`."""
+    read it; every member must be a pattern id that `patterns` holds."""
     for n, cl in enumerate(_field(doc, "clusters", list, where)):
         at = f"{where} cluster {n}"
         _field(cl, "cluster_id", str, at)
@@ -343,38 +365,49 @@ def _check_clusters(doc, where: str, patterns: dict):
                 raise DataError(f"{at}: member {pid!r} is not a mined pattern")
 
 
-def _cluster_instances(outdir, docs=None):
-    """Per cluster, its record and the (sid, start, end, region) of its
-    member instances. In a build this takes the last of the clusters and
-    patterns documents."""
-    clusters_doc, clusters_where = _take(outdir, "cluster", docs)
-    patterns_doc, patterns_where = _take(outdir, "mine", docs)
-    if patterns_where:
-        _check_instances(patterns_doc, patterns_where)
-    patterns = {rec["id"]: rec for rec in patterns_doc["patterns"]}
-    if clusters_where:
-        _check_clusters(clusters_doc, clusters_where, patterns)
-    clusters = clusters_doc["clusters"]
+def _instance_spans(patterns_doc) -> dict:
+    """Per pattern id of patterns.json, the (sid, start, end, region) of
+    each instance: the span of its events in epoch seconds."""
+    patterns = patterns_doc["patterns"]
     # instances share their events' stamps: convert each distinct one once
     stamps = {
         e[key]
-        for rec in patterns.values()
+        for rec in patterns
         for inst in rec["instances"]
         for e in inst["events"]
         for key in ("start", "end")
     }
     seconds = {text: _unixtime(text) for text in stamps}
-    out = []
-    for cl in clusters:
-        instances = []
-        for pid in cl["members"]:
-            rec = patterns[pid]
-            for inst in rec["instances"]:
-                start = min(seconds[e["start"]] for e in inst["events"])
-                end = max(seconds[e["end"]] for e in inst["events"])
-                instances.append((inst["sid"], start, end, rec["region"]))
-        out.append((cl, instances))
-    return out
+    return {
+        rec["id"]: [
+            (
+                inst["sid"],
+                min(seconds[e["start"]] for e in inst["events"]),
+                max(seconds[e["end"]] for e in inst["events"]),
+                rec["region"],
+            )
+            for inst in rec["instances"]
+        ]
+        for rec in patterns
+    }
+
+
+def _cluster_instances(outdir, docs=None):
+    """Per cluster, its record and the (sid, start, end, region) of its
+    member instances. In a build this takes the clusters document and the
+    instance spans stage_mine handed forward."""
+    clusters_doc, clusters_where = _take(outdir, "cluster", docs)
+    if docs is None:
+        patterns_doc, patterns_where = _take(outdir, "mine", None)
+        _check_instances(patterns_doc, patterns_where)
+        spans = _instance_spans(patterns_doc)
+        _check_clusters(clusters_doc, clusters_where, spans)
+    else:
+        spans = docs.pop("instance_spans")
+    return [
+        (cl, [span for pid in cl["members"] for span in spans[pid]])
+        for cl in clusters_doc["clusters"]
+    ]
 
 
 def stage_periodic(config: PipelineConfig, outdir, docs=None) -> dict:
@@ -601,8 +634,9 @@ def run_pipeline(config: PipelineConfig, input_path, outdir, fmt: str = "interva
 
     Each stage hands its document to the later stages through `docs`,
     except stage_ingest, which hands stage_mine the event database itself;
-    stage_mine adds the vocabulary and stage_periodic the clusters'
-    instances. Each leaves `docs` with its last reader.
+    stage_mine adds the vocabulary and its instances' spans, and
+    stage_periodic the clusters' instances. Each leaves `docs` with its
+    last reader.
     """
     reports = {}
     docs: dict = {}

@@ -9,7 +9,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError
 from .events import EventDatabase, partition_by_region
-from .mining import CompositionPattern, PatternInstance
+from .mining import CompositionPattern, Embeddings, PatternInstance
 
 DEFAULT_EPSILON = 1.0  # minimum Manhattan distance (grid resolution)
 
@@ -121,32 +121,49 @@ def temporal_coverage(intervals: Sequence[Tuple[float, float]]) -> float:
     return sum(e - s for s, e in intervals) / (span * n)
 
 
-def temporal_proximity(pattern: CompositionPattern) -> float:
-    """Average per-instance temporal coverage.
+def _mean_coverage(embeddings, start_at, end_at) -> float:
+    """Mean temporal coverage over (index, positions) pairs, each naming
+    the intervals (start_at[index][p], end_at[index][p]) for p in positions.
 
-    Each instance is read in one pass over its events and gives the same
-    value as `temporal_coverage` over its (start, end) pairs. This is the
-    proximity term every pattern gets; the spatial term is computed only
-    as `score_pattern` describes."""
-    if not pattern.instances:
-        return 0.0
+    Each pair is read in one pass and gives the same value as
+    `temporal_coverage` over its intervals; a pair without positions
+    gives 0.0."""
     total = 0.0
-    for inst in pattern.instances:
-        events = inst.events
-        if not events:
-            continue  # coverage of no intervals is 0.0
-        lo, hi = events[0].start_time, events[0].end_time
+    for i, positions in embeddings:
+        if not positions:
+            continue
+        starts, ends = start_at[i], end_at[i]
+        first = positions[0]
+        lo, hi = starts[first], ends[first]
         mass = 0
-        for ev in events:
-            start, end = ev.start_time, ev.end_time
+        for p in positions:
+            start, end = starts[p], ends[p]
             mass += end - start
             if start < lo:
                 lo = start
             if end > hi:
                 hi = end
         span = hi - lo
-        total += 1.0 if span == 0 else mass / (span * len(events))
-    return total / len(pattern.instances)
+        total += 1.0 if span == 0 else mass / (span * len(positions))
+    return total / len(embeddings)
+
+
+def temporal_proximity(pattern: CompositionPattern) -> float:
+    """Average per-instance temporal coverage.
+
+    A mined pattern is scored from its Embeddings' start and end times,
+    without building an instance; other instances from their events, by
+    the same arithmetic. This is the proximity term every pattern gets;
+    the spatial term is computed only as `score_pattern` describes."""
+    instances = pattern.instances
+    if not instances:
+        return 0.0
+    if isinstance(instances, Embeddings):
+        return _mean_coverage(instances.pairs, instances.start_at, instances.end_at)
+    start_at = [[ev.start_time for ev in inst.events] for inst in instances]
+    end_at = [[ev.end_time for ev in inst.events] for inst in instances]
+    embeddings = [(i, range(len(inst.events))) for i, inst in enumerate(instances)]
+    return _mean_coverage(embeddings, start_at, end_at)
 
 
 @dataclass(frozen=True)

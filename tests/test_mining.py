@@ -3,9 +3,6 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
 from oracles import (
     ProjectedDatabase,
     contains,
@@ -19,7 +16,7 @@ from oracles import (
 
 from habitminer.errors import ConfigError
 from habitminer.events import EndpointSymbol, EventSequence, parse_interval
-from habitminer.mining import encode_database, leftmost_match, mine
+from habitminer.mining import encode_database, mine
 
 
 def _sym(token):
@@ -105,23 +102,6 @@ def test_mine_instances_are_leftmost(running_example):
     assert spans == [(60, 75), (61, 73)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    haystack=st.lists(st.integers(0, 3), max_size=14),
-    needle=st.lists(st.integers(0, 5), max_size=6),  # 4 and 5 never occur
-    as_tuples=st.booleans(),
-)
-@example(haystack=[], needle=[], as_tuples=False)
-@example(haystack=[3, 1], needle=[], as_tuples=True)
-@example(haystack=[1, 1, 2, 1], needle=[1, 1, 1], as_tuples=False)
-@example(haystack=[1, 1, 2], needle=[1, 1, 1], as_tuples=True)
-@example(haystack=[2, 1], needle=[1, 2], as_tuples=False)
-def test_leftmost_match_agrees_with_scan(haystack, needle, as_tuples):
-    if as_tuples:
-        haystack, needle = tuple(haystack), tuple(needle)
-    assert leftmost_match(haystack, needle) == leftmost_match_scan(haystack, needle)
-
-
 def test_mine_deterministic(running_example):
     a = mine(running_example, 2)
     b = mine(running_example, 2)
@@ -183,11 +163,18 @@ def test_double_projection_counts_pair_support(running_example):
     assert projected.open_starts == ()
 
 
-def test_pattern_instance_interval(running_example):
-    pattern = next(
-        p for p in mine(running_example, 2) if p.tokens == ("E+", "F+", "F-", "E-")
-    )
-    assert pattern.support == len({i.sid for i in pattern.instances}) == 2
-    inst = pattern.instances[0]
-    lo, hi = inst.interval
-    assert lo <= hi
+def test_mine_instances_match_oracle_scan():
+    # one instance per supporting sequence, holding the events of the
+    # pattern's start endpoints along the leftmost embedding, in order
+    db = random_database(random.Random(5))
+    for pattern in mine(db, 2):
+        assert pattern.support == len(pattern.instances) == len({i.sid for i in pattern.instances})
+        for inst in pattern.instances:
+            seq = next(s for s in db.sequences if s.sid == inst.sid)
+            symbols = [e.symbol for e in seq.endpoints]
+            positions = leftmost_match_scan(symbols, pattern.seq)
+            assert inst.events == tuple(
+                seq.events[seq.endpoints[p].event_index]
+                for p, sym in zip(positions, pattern.seq)
+                if not sym.is_end
+            )

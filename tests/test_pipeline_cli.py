@@ -359,6 +359,20 @@ def test_cli_exit_codes(fixture_trace, tmp_path, capsys):
         assert run_cli("evaluate", str(fixture_trace), "--outdir", str(tmp_path), flag) == 1
         name = flag[2:].split("=")[0]
         assert name.replace("-", "_") in _one_line_error(capsys).replace("-", "_")
+    # values argparse itself rejects end in one line too, without the usage
+    for value in ("abc", "-inf"):
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", str(fixture_trace), "--outdir", str(tmp_path), "--zeta", value)
+        assert err.value.code == 1
+        assert "--zeta" in _one_line_error(capsys)
+
+
+def test_cli_missing_config_file_exits_1(fixture_trace, tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli("run", str(fixture_trace), "--outdir", str(tmp_path),
+                   "--config", str(missing)) == 1
+    assert str(missing) in _one_line_error(capsys)
+    assert not (tmp_path / "events.json").exists()
 
 
 def _one_line_error(capsys) -> str:

@@ -2,12 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import riemann_temporal_coverage
+from oracles import random_database, riemann_temporal_coverage
 
 from habitminer.errors import ConfigError, DataError
 from habitminer.events import EndpointSymbol, ServiceEvent
@@ -88,6 +89,21 @@ def test_temporal_proximity_equals_mean_coverage(raw_instances):
         for inst in built
     ) / len(built)
     assert temporal_proximity(pattern) == expected
+
+
+def test_temporal_proximity_from_embeddings_equals_built_instances():
+    # a mined pattern is scored from the kernel's positions; the value must
+    # be exactly that of its instances built and scored from their events
+    rng = random.Random(41)
+    for _ in range(40):
+        db = random_database(rng)
+        for pattern in mine(db, rng.randint(1, 2), max_len=rng.choice([4, 8, 20])):
+            built = replace(pattern, instances=tuple(pattern.instances))
+            expected = sum(
+                temporal_coverage([(ev.start_time, ev.end_time) for ev in inst.events])
+                for inst in built.instances
+            ) / len(built.instances)
+            assert temporal_proximity(pattern) == temporal_proximity(built) == expected
 
 
 def test_temporal_coverage_point_instance():
