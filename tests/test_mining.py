@@ -3,6 +3,7 @@
 import random
 
 import pytest
+
 from oracles import (
     ProjectedDatabase,
     contains,
